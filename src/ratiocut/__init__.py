@@ -25,6 +25,7 @@ from .errors import (
     InputError,
     SingletonBlockWarning,
     SizeError,
+    SolverError,
 )
 from .fileio import (
     canonical_json,
@@ -98,6 +99,7 @@ __all__ = [
     "RoundingResult",
     "SingletonBlockWarning",
     "SizeError",
+    "SolverError",
     "Tolerances",
     "WeightedGraph",
     "bfs_distances",

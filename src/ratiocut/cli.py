@@ -8,7 +8,8 @@ keys, 12 significant digits) so identical inputs give byte-identical files.
 
 Exit status: 0 on success, 2 on input problems (bad flags, malformed
 files), 3 when a theorem hypothesis is violated (e.g. a block smaller
-than 3 for `bound`).
+than 3 for `bound`), 4 when a numerical solver fails or its result fails
+its check (e.g. the simplex iteration limit in `gap`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 from . import fileio
 from .certify import certificate
-from .errors import HypothesisViolation, InputError
+from .errors import HypothesisViolation, InputError, SolverError
 from .graphs import (
     gen_example_blocks,
     gen_planted_blocks,
@@ -53,7 +54,7 @@ def cmd_gen(args) -> int:
     elif args.family == "planted":
         if args.sizes is None or args.intra is None or args.cross is None:
             raise InputError("gen planted requires --sizes, --intra and --cross")
-        g, p = gen_planted_blocks(_parse_sizes(args.sizes), args.intra, args.cross, seed=args.seed)
+        g, p = gen_planted_blocks(_parse_sizes(args.sizes), args.intra, args.cross)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown family {args.family!r}")
     fileio.write_edge_list(args.output, g)
@@ -161,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--sizes", help="comma-separated block sizes for planted")
     p_gen.add_argument("--intra", type=float, help="intra-block edge weight for planted")
     p_gen.add_argument("--cross", type=float, help="cross-block edge weight for planted")
-    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--output", required=True, help="edge-list file to write")
     p_gen.add_argument("--partition", required=True, help="planted partition file to write")
     p_gen.set_defaults(func=cmd_gen)
@@ -219,6 +219,9 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry_point() -> None:

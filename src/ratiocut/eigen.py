@@ -1,137 +1,21 @@
-"""Dense symmetric eigendecomposition (cyclic Jacobi) and the Laplacian eigenmap.
+"""Dense symmetric eigendecomposition and the Laplacian eigenmap.
 
-The solver is a row-cyclic Jacobi iteration: rotations are applied in a fixed
-pivot order, convergence is declared when the off-diagonal Frobenius mass
-drops below ``1e-12`` of the input norm, and eigenvector signs follow a fixed
-convention (largest-magnitude entry positive, ties broken by lowest index).
-Output is therefore bit-reproducible for a fixed input on a fixed build.
-
-The sweep kernel is JIT-compiled with numba when available; otherwise a
-vectorized numpy twin with the same pivot order and rotation formulas is used.
+``sym_eig`` hands the solve to LAPACK's divide-and-conquer routine
+(``?syevd``, through ``np.linalg.eigh``), then fixes eigenvector signs by a
+convention (largest-magnitude entry positive, ties broken by lowest index)
+and checks the residual and orthonormality of the result before returning
+it. Output is reproducible for a fixed input on a fixed build.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, SolverError
 from .graphs import WeightedGraph, laplacian
 from .tolerances import DEFAULT as TOL
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
-def _sweep_python(a, vt):
-    """One row-cyclic Jacobi sweep over ``a`` (symmetric, modified in place).
-
-    ``vt`` accumulates the transposed eigenvector matrix: rows of ``vt`` are
-    the eigenvector candidates, which keeps every update contiguous.
-    """
-    n = a.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            if apq == 0.0:
-                continue
-            app = a[p, p]
-            aqq = a[q, q]
-            tau = (aqq - app) / (2.0 * apq)
-            if tau >= 0.0:
-                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            for i in range(n):
-                api = a[p, i]
-                aqi = a[q, i]
-                a[p, i] = c * api - s * aqi
-                a[q, i] = s * api + c * aqi
-            for i in range(n):
-                a[i, p] = a[p, i]
-                a[i, q] = a[q, i]
-            a[p, p] = app - t * apq
-            a[q, q] = aqq + t * apq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            for i in range(n):
-                vpi = vt[p, i]
-                vqi = vt[q, i]
-                vt[p, i] = c * vpi - s * vqi
-                vt[q, i] = s * vpi + c * vqi
-
-
-def _sweep_numpy(a, vt):
-    # same pivot order and rotation formulas as _sweep_python, but with the
-    # three inner loops replaced by vectorized row operations
-    n = a.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            if apq == 0.0:
-                continue
-            app = a[p, p]
-            aqq = a[q, q]
-            tau = (aqq - app) / (2.0 * apq)
-            if tau >= 0.0:
-                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            row_p = a[p, :].copy()
-            row_q = a[q, :].copy()
-            a[p, :] = c * row_p - s * row_q
-            a[q, :] = s * row_p + c * row_q
-            a[:, p] = a[p, :]
-            a[:, q] = a[q, :]
-            a[p, p] = app - t * apq
-            a[q, q] = aqq + t * apq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            row_p = vt[p, :].copy()
-            row_q = vt[q, :].copy()
-            vt[p, :] = c * row_p - s * row_q
-            vt[q, :] = s * row_p + c * row_q
-
-
-if _HAVE_NUMBA:
-    _sweep_fast = njit(cache=True)(_sweep_python)
-else:  # pragma: no cover
-    _sweep_fast = _sweep_numpy
-
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run Jacobi sweeps until convergence; returns (diag, vt, sweeps)."""
-    n = a.shape[0]
-    vt = np.eye(n)
-    target = TOL.jacobi_off * np.linalg.norm(a)
-    sweeps = 0
-    while sweeps < TOL.jacobi_max_sweeps:
-        if _off_diagonal_norm(a) <= target:
-            break
-        _sweep_fast(a, vt)
-        sweeps += 1
-    else:
-        warnings.warn(
-            f"Jacobi iteration did not converge in {TOL.jacobi_max_sweeps} sweeps",
-            RuntimeWarning,
-        )
-    return np.diag(a).copy(), vt, sweeps
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -141,20 +25,45 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
+def _check_decomposition(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
+    """Raise SolverError unless ``a @ V = V diag(values)`` and ``V.T @ V = I``."""
+    scale = max(1.0, float(np.linalg.norm(a)))
+    residual = float(np.max(np.abs(a @ vectors - vectors * values), initial=0.0))
+    ortho = float(np.max(np.abs(vectors.T @ vectors - np.eye(a.shape[0])), initial=0.0))
+    # written as "not <=" so that NaN residuals fail the check too
+    if not residual <= TOL.eigen_residual * scale:
+        raise SolverError(
+            f"eigendecomposition residual {residual:.3g} exceeds {TOL.eigen_residual:g} * {scale:.3g}"
+        )
+    if not ortho <= TOL.eigen_residual:
+        raise SolverError(f"eigenvectors deviate from orthonormal by {ortho:.3g}")
+
+
 def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix.
 
     Parameters
     ----------
     a : (n, n) array_like
-        Symmetric up to ``1e-10``; symmetrized exactly before iterating.
+        Symmetric up to ``1e-10``; symmetrized exactly before solving.
 
     Returns
     -------
     values : (n,) ndarray
-        Eigenvalues in ascending order (stable order on ties).
+        Eigenvalues in ascending order.
     vectors : (n, n) ndarray
-        Orthonormal eigenvectors as columns, deterministic signs.
+        Orthonormal eigenvectors as columns, deterministic signs. Within a
+        repeated eigenvalue the basis is whichever one LAPACK returns; only
+        the spanned subspace is determined by ``a``.
+
+    Raises
+    ------
+    InputError
+        If ``a`` is not square or not symmetric.
+    SolverError
+        If LAPACK fails, or if ``max|A V - V diag(values)|`` exceeds
+        ``eigen_residual * max(1, ||A||_F)`` or ``max|V^T V - I|`` exceeds
+        ``eigen_residual``.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -162,10 +71,12 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     if np.max(np.abs(a - a.T), initial=0.0) > TOL.symmetry:
         raise InputError("matrix is not symmetric")
     a = 0.5 * (a + a.T)
-    diag, vt, _ = _jacobi(a)
-    order = np.argsort(diag, kind="stable")
-    values = diag[order]
-    vectors = _fix_signs(vt[order].T.copy())
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"LAPACK eigensolver failed: {exc}") from exc
+    vectors = _fix_signs(vectors)
+    _check_decomposition(a, values, vectors)
     return values, vectors
 
 

@@ -13,6 +13,10 @@ class SizeError(InputError):
     """Problem size exceeds a hard cap of an exact (exponential or LP) routine."""
 
 
+class SolverError(RuntimeError):
+    """A numerical solver failed, or its result failed the check made before returning it."""
+
+
 class HypothesisViolation(ValueError):
     """Input fails a theorem hypothesis (e.g. a cluster smaller than 3 vertices)."""
 

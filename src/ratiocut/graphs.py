@@ -287,16 +287,13 @@ def gen_unbalanced_example() -> tuple[WeightedGraph, Partition]:
     return WeightedGraph(w), Partition(labels, 3)
 
 
-def gen_planted_blocks(
-    sizes, intra: float, cross: float, seed: int = 0
-) -> tuple[WeightedGraph, Partition]:
+def gen_planted_blocks(sizes, intra: float, cross: float) -> tuple[WeightedGraph, Partition]:
     """Complete blocks at weight ``intra`` joined by one cross edge per consecutive pair.
 
     The cross edge for the pair ``(i, i+1)`` joins the last vertex of block
     ``i`` to the first vertex of block ``i+1``, so for blocks of size >= 2 the
     maximum boundary degree is exactly ``cross`` and the smallest intra-block
-    algebraic connectivity is ``intra * min(sizes)``.  ``seed`` is accepted
-    for a future randomized variant; the construction itself is deterministic.
+    algebraic connectivity is ``intra * min(sizes)``.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) == 0:
@@ -305,7 +302,6 @@ def gen_planted_blocks(
         raise InputError("every block size must be >= 1")
     if intra < 0 or cross < 0:
         raise InputError("weights must be >= 0")
-    del seed  # reserved
     n = sum(sizes)
     w = np.zeros((n, n))
     starts = np.concatenate([[0], np.cumsum(sizes)])

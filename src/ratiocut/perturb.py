@@ -25,7 +25,7 @@ import numpy as np
 
 from .certify import boundary_degrees, intra_connectivities
 from .eigen import lambda2, sym_eig
-from .errors import DegenerateAlignmentWarning, HypothesisViolation, InputError, SizeError
+from .errors import DegenerateAlignmentWarning, HypothesisViolation, InputError, SizeError, SolverError
 from .graphs import (
     Partition,
     WeightedGraph,
@@ -272,7 +272,7 @@ def _gap_lp(l: np.ndarray, i: int) -> float:
 
     res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
     if res.status != OPTIMAL:
-        raise RuntimeError(f"gap LP unexpectedly {res.status} at pinned coordinate {i}")
+        raise SolverError(f"gap LP unexpectedly {res.status} at pinned coordinate {i}")
     return float(res.objective)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import eigenmap, fiedler
-from .errors import DisconnectedGraphWarning, InputError
+from .errors import DisconnectedGraphWarning, InputError, SolverError
 from .graphs import Partition, WeightedGraph, is_connected, ratio_cut
 from .tolerances import DEFAULT as TOL
 
@@ -101,7 +101,10 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         cost = float(d2[np.arange(n), new_labels].sum())
-        assert cost <= prev_cost + TOL.inequality_slack, "k-means cost increased"
+        if not cost <= prev_cost + TOL.inequality_slack:  # a NaN cost fails too
+            raise SolverError(
+                f"k-means cost went from {prev_cost:.12g} to {cost:.12g}; a Lloyd step cannot raise it"
+            )
         prev_cost = cost
         # re-seed any empty cluster at the point farthest from its centroid
         # and hand that point over, so every cluster stays representable

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, SolverError
 from .tolerances import DEFAULT as TOL
 
 OPTIMAL = "optimal"
@@ -67,7 +67,7 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> str:
         tied = rows[ratios <= best + TOL.lp_pivot * max(1.0, abs(best))]
         row = int(tied[np.argmin(basis[tied])])
         _pivot(tableau, basis, row, col)
-    raise RuntimeError("simplex iteration limit reached")
+    raise SolverError("simplex iteration limit reached")
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LPResult:
@@ -149,7 +149,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LPResult:
             tableau[-1] -= tableau[i]
     status = _iterate(tableau, basis, ncols)
     if status != OPTIMAL:  # the phase-1 objective is bounded below by zero
-        raise RuntimeError("phase-1 simplex did not reach its optimum")
+        raise SolverError("phase-1 simplex did not reach its optimum")
     scale = max(1.0, float(np.abs(tableau).max()))
     if -tableau[-1, -1] > TOL.lp_feasibility * scale:
         return LPResult(INFEASIBLE, None, None)

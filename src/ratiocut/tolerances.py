@@ -11,10 +11,6 @@ from dataclasses import dataclass
 class Tolerances:
     #: accepted asymmetry max|A - A^T| before an input is rejected
     symmetry: float = 1e-10
-    #: Jacobi convergence: off-diagonal Frobenius mass <= jacobi_off * ||A||_F
-    jacobi_off: float = 1e-12
-    #: hard sweep cap for the Jacobi eigensolver
-    jacobi_max_sweeps: int = 100
     #: orthonormality / eigen-residual budget for decomposition outputs
     eigen_residual: float = 1e-8
     #: eigenvalues below this count as zero (disconnection threshold)

@@ -1,15 +1,6 @@
-import numpy as np
 import pytest
 
 import ratiocut as rc
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_eigensolver():
-    # the first sweep call may pay a JIT compilation cost; do it here so
-    # timed acceptance tests measure the algorithm, not the compiler
-    path3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-    rc.sym_eig(np.diag(path3.sum(axis=1)) - path3)
 
 
 @pytest.fixture(scope="session")

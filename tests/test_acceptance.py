@@ -122,7 +122,7 @@ def test_laplacian_images_obey_gap_lower_bound(report):
         rhs = lam2 * np.abs(x).max(axis=0) / (2.0 * math.log(n))
         violations += int(np.sum(lhs < rhs - 1e-9))
     elapsed = time.perf_counter() - start
-    ok = violations == 0 and elapsed < 60.0
+    ok = violations == 0 and elapsed < 10.0
     report("linf-gap-lower-bound-random", ok,
            f"20000 vectors, {violations} violations, {elapsed:.1f}s")
 
@@ -153,7 +153,7 @@ def test_embedding_perturbation_bound_and_recovery(report):
         if rep.bound:
             worst_ratio = max(worst_ratio, rep.measured / rep.bound)
     elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 120.0
+    ok = ok and elapsed < 10.0
     report("perturbation-bound-and-exact-recovery", ok,
            f"20 planted instances, worst measured/bound {worst_ratio:.2e}, {elapsed:.1f}s")
 
@@ -173,7 +173,7 @@ def test_unbalanced_instance_end_to_end(report, unbalanced):
         and not rep.precondition_ok
         and rep.bound is None
         and rc.same_partition(found.partition, planted)
-        and elapsed < 120.0
+        and elapsed < 10.0
     )
     report("unbalanced-three-blocks-end-to-end", ok,
            f"r {rep.r:.3f}, measured {rep.measured:.4f}, recovered, {elapsed:.1f}s")
@@ -193,7 +193,7 @@ def test_subset_density_lower_bound_random(report):
         if not check.holds:
             violations += 1
     elapsed = time.perf_counter() - start
-    ok = violations == 0 and elapsed < 60.0
+    ok = violations == 0 and elapsed < 10.0
     report("subset-cut-density-lower-bound", ok,
            f"500 subsets, {violations} violations, {elapsed:.1f}s")
 
@@ -283,6 +283,6 @@ def test_eigensolver_residuals_and_known_spectrum(report):
     values, _ = rc.sym_eig(rc.laplacian(path_graph(3)))
     ok = ok and np.allclose(values, [0.0, 1.0, 3.0], atol=1e-9)
     elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 60.0
+    ok = ok and elapsed < 5.0
     report("eigensolver-residuals-and-path-spectrum", ok,
            f"100 matrices, {elapsed:.1f}s")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ratiocut as rc
+from ratiocut import cli
 from ratiocut.cli import entry_point, main
 
 
@@ -160,6 +161,27 @@ def test_gen_missing_params_exits_2(tmp_path):
     code = run(["gen", "example-blocks", "--output", tmp_path / "g.tsv",
                 "--partition", tmp_path / "p.txt"])
     assert code == 2
+
+
+def test_gen_rejects_seed_flag(tmp_path):
+    # gen families are deterministic, so gen takes no --seed
+    with pytest.raises(SystemExit) as exc:
+        run(["gen", "planted", "--seed", 3, "--sizes", "3,3", "--intra", 1.0, "--cross", 0.1,
+             "--output", tmp_path / "g.tsv", "--partition", tmp_path / "p.txt"])
+    assert exc.value.code == 2
+
+
+def test_solver_error_exits_4(tmp_path, monkeypatch, capsys):
+    g_path = tmp_path / "g.tsv"
+    run(["gen", "example-blocks", "--n", 1, "--c", 0.5,
+         "--output", g_path, "--partition", tmp_path / "p.txt"])
+
+    def failing(g):
+        raise rc.SolverError("simplex iteration limit reached")
+
+    monkeypatch.setattr(cli, "gap_exact", failing)
+    assert run(["gap", "--input", g_path, "--output", tmp_path / "o.json"]) == 4
+    assert capsys.readouterr().err == "error: simplex iteration limit reached\n"
 
 
 def test_argparse_rejects_unknown_method(tmp_path):

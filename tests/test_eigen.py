@@ -4,7 +4,7 @@ import scipy.linalg
 
 import ratiocut as rc
 from ratiocut import eigen
-from ratiocut.errors import InputError
+from ratiocut.errors import InputError, SolverError
 
 
 def path3():
@@ -88,17 +88,44 @@ def test_sym_eig_input_validation():
         rc.sym_eig(a)
 
 
-def test_sweep_variants_agree():
-    """The JIT kernel and the vectorized fallback follow the same pivot
-    order, so they must produce (numerically) the same factorization."""
-    rng = np.random.default_rng(31)
-    a = random_symmetric(rng, 15)
-    a1, vt1 = a.copy(), np.eye(15)
-    a2, vt2 = a.copy(), np.eye(15)
-    eigen._sweep_fast(a1, vt1)
-    eigen._sweep_numpy(a2, vt2)
-    assert np.allclose(a1, a2, atol=1e-12)
-    assert np.allclose(vt1, vt2, atol=1e-12)
+def test_sym_eig_rejects_corrupted_basis(monkeypatch):
+    a = random_symmetric(np.random.default_rng(31), 8)
+    eigh = np.linalg.eigh
+
+    def swapped_columns(m):
+        values, vectors = eigh(m)
+        return values, vectors[:, ::-1]
+
+    def non_orthonormal(m):
+        values, vectors = eigh(m)
+        vectors[:, 0] *= 1.0 + 1e-6
+        return values, vectors
+
+    for fake in (swapped_columns, non_orthonormal):
+        monkeypatch.setattr(eigen.np.linalg, "eigh", fake)
+        with pytest.raises(SolverError):
+            rc.sym_eig(a)
+
+
+def test_sym_eig_reports_lapack_failure(monkeypatch):
+    def failing(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(eigen.np.linalg, "eigh", failing)
+    with pytest.raises(SolverError, match="did not converge"):
+        rc.sym_eig(np.eye(3))
+
+
+def test_degenerate_eigenspace_spans_centered_projector():
+    # the complete graph K_m has Laplacian m I - 11^T: eigenvalue 0 once and
+    # m with multiplicity m - 1, whose eigenspace is the complement of 1.
+    # LAPACK may return any basis of it, but the projector is fixed.
+    for m in (3, 5, 8):
+        values, vectors = rc.sym_eig(rc.laplacian(rc.WeightedGraph(1.0 - np.eye(m))))
+        assert np.allclose(values, [0.0] + [float(m)] * (m - 1), atol=1e-9)
+        block = vectors[:, 1:]
+        projector = np.eye(m) - np.ones((m, m)) / m
+        assert np.max(np.abs(block @ block.T - projector)) <= 1e-9
 
 
 def test_eigenmap_shapes_and_errors():

@@ -223,6 +223,24 @@ def test_two_to_inf_error_k2_matches_vector_inf_norm():
     assert err == pytest.approx(np.abs(u2 - v2).max(), abs=1e-6)
 
 
+def test_two_to_inf_error_invariant_under_rotating_degenerate_eigenspace():
+    # three equal blocks joined in a ring are symmetric under shifting the
+    # blocks, so lambda_2 = lambda_3 and the eigensolver's basis for that
+    # eigenspace is arbitrary; the aligned error must not depend on it
+    g, p = rc.gen_planted_blocks([6, 6, 6], 1.0, 0.1)
+    w = g.weights.copy()
+    w[17, 0] = w[0, 17] = 0.1
+    emb = rc.eigenmap(rc.WeightedGraph(w), 3)
+    assert emb.values[2] - emb.values[1] <= 1e-9
+    u_iso = rc.canonical_uiso(p)
+    err = rc.two_to_inf_error(emb.U, u_iso)
+    assert err > 1e-3
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        q = random_orthogonal(rng, 3)
+        assert rc.two_to_inf_error(emb.U @ q, u_iso) == pytest.approx(err, abs=1e-12)
+
+
 # ------------------------------------------------------------ theorem eval
 
 
