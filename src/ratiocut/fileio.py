@@ -78,7 +78,12 @@ def read_edge_list(path: str) -> WeightedGraph:
     if len(lines) - 1 != m:
         bad_line = m + 2 if len(lines) - 1 > m else len(lines) + 1
         raise _fail(path, bad_line, 1, f"expected {m} edge lines, found {len(lines) - 1}")
-    weights = np.zeros((n, n))
+    try:
+        weights = np.zeros((n, n))
+    except (ValueError, MemoryError):
+        raise _fail(
+            path, 1, header[0][1], f"vertex count {n} is too large for an n-by-n weight matrix"
+        ) from None
     seen: set[tuple[int, int]] = set()
     for line_no, line in enumerate(lines[1:], start=2):
         toks = _tokens(line)

@@ -182,21 +182,12 @@ def induced_subgraph(g: WeightedGraph, subset) -> WeightedGraph:
 
 def connected_components(g: WeightedGraph) -> np.ndarray:
     """Component label per vertex via breadth-first search on positive weights."""
-    n = g.n
-    comp = np.full(n, -1, dtype=int)
+    comp = np.full(g.n, -1, dtype=int)
     current = 0
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        comp[start] = current
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in np.flatnonzero(g.weights[v] > 0):
-                if comp[u] < 0:
-                    comp[u] = current
-                    queue.append(int(u))
-        current += 1
+    for start in range(g.n):
+        if comp[start] < 0:
+            comp[bfs_distances(g, start) >= 0] = current
+            current += 1
     return comp
 
 

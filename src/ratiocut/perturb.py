@@ -23,19 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import boundary_degrees, intra_connectivities
-from .eigen import lambda2, sym_eig
+from .certify import certificate, intra_connectivities
+from .eigen import eigenmap, lambda2
 from .errors import DegenerateAlignmentWarning, HypothesisViolation, InputError, SizeError, SolverError
-from .graphs import (
-    Partition,
-    WeightedGraph,
-    diameter,
-    induced_subgraph,
-    is_connected,
-    laplacian,
-)
+from .graphs import Partition, WeightedGraph, diameter, is_connected, laplacian
 from .simplex import OPTIMAL, solve_lp
-from .tolerances import DEFAULT as TOL
 
 GAP_EXACT_MAX_N = 200
 
@@ -173,30 +165,23 @@ def theoretical_bound(g: WeightedGraph, p: Partition) -> PerturbationReport:
         )
 
     c = float(n / sizes.min())
-    d_delta = boundary_degrees(g, p)
-    lam = intra_connectivities(g, p)
-    max_d = float(d_delta.max())
-    min_l = float(lam.min())
     log_n = math.log(n)
+    # blocks have >= 3 vertices, so the certificate's ratio is max boundary
+    # degree over min block lambda2, infinite when a block is disconnected
+    cert = certificate(g, p)
+    r = cert.ratio_r
+    precondition_ok = r <= 1.0 / (16.0 * (1.0 + c) * log_n)
 
-    if min_l <= TOL.zero_eigenvalue:
-        r = math.inf
-        precondition_ok = False
-    else:
-        r = max_d / min_l
-        precondition_ok = r <= 1.0 / (16.0 * (1.0 + c) * log_n)
-
-    values, vectors = sym_eig(laplacian(g))
     k = p.k
-    if k < n and values[k] - values[k - 1] < 1e-9:
+    emb = eigenmap(g, min(k + 1, n))
+    if k < n and emb.values[k] - emb.values[k - 1] < 1e-9:
         raise HypothesisViolation("eigengap at k is numerically zero")
-    u = vectors[:, :k]
-    measured = two_to_inf_error(u, canonical_uiso(p))
+    measured = two_to_inf_error(emb.U[:, :k], canonical_uiso(p))
 
     bound = None
     if precondition_ok:
         bound = 32.0 * math.sqrt(c) * (r * r + r * log_n) / math.sqrt(n)
-    gap_lower = min_l / (2.0 * log_n)
+    gap_lower = cert.min_lambda2 / (2.0 * log_n)
     return PerturbationReport(
         c=c,
         r=r,
@@ -212,22 +197,20 @@ def gap_lower_bound(g: WeightedGraph) -> float:
     """Spectral lower bound lambda2/(2 ln n) on the l-infinity gap."""
     if g.n < 3:
         raise InputError("lower bound needs at least 3 vertices")
-    values, _ = sym_eig(laplacian(g))
-    return float(values[1]) / (2.0 * math.log(g.n))
+    return lambda2(g) / (2.0 * math.log(g.n))
 
 
 def gap_lower_per_block(g: WeightedGraph, p: Partition) -> np.ndarray:
     """Per-block variant lambda2(L_i)/(2 ln |V_i|), a sharper diagnostic.
 
-    Singleton blocks carry no constraint and report +inf.
+    The block lambda2s come from ``intra_connectivities``, so a singleton
+    block reports +inf and raises the same SingletonBlockWarning as the
+    certificate.
     """
-    out = np.empty(p.k)
-    for j, members in enumerate(p.blocks()):
-        if len(members) < 2:
-            out[j] = math.inf
-        else:
-            out[j] = lambda2(induced_subgraph(g, members)) / (2.0 * math.log(len(members)))
-    return out
+    lam = intra_connectivities(g, p)
+    # a singleton's lambda2 is already +inf; its log size 0 is kept out of
+    # the division so that no divide-by-zero warning is raised
+    return lam / (2.0 * np.log(np.maximum(p.sizes(), 2)))
 
 
 def gap_upper_bound_unweighted(g: WeightedGraph) -> float:

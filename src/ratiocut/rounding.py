@@ -100,48 +100,30 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float
     for _ in range(MAX_LLOYD_ITERATIONS):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
-        cost = float(d2[np.arange(n), new_labels].sum())
+        dist = d2[np.arange(n), new_labels]
+        cost = float(dist.sum())
         if not cost <= prev_cost + TOL.inequality_slack:  # a NaN cost fails too
             raise SolverError(
                 f"k-means cost went from {prev_cost:.12g} to {cost:.12g}; a Lloyd step cannot raise it"
             )
         prev_cost = cost
-        # re-seed any empty cluster at the point farthest from its centroid
-        # and hand that point over, so every cluster stays representable
-        for j in range(k):
-            if not np.any(new_labels == j):
-                far = int(np.argmax(d2[np.arange(n), new_labels]))
-                centroids[j] = points[far]
-                new_labels[far] = j
+        # re-seed each empty cluster at the point farthest from its centroid
+        # among clusters that keep another member; the moved point becomes a
+        # singleton, so it is never picked twice and no donor is emptied
+        for j in np.flatnonzero(np.bincount(new_labels, minlength=k) == 0):
+            counts = np.bincount(new_labels, minlength=k)
+            far = int(np.argmax(np.where(counts[new_labels] >= 2, dist, -1.0)))
+            centroids[j] = points[far]
+            new_labels[far] = j
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
         iterations += 1
         for j in range(k):
-            members = labels == j
-            if members.any():
-                centroids[j] = points[members].mean(axis=0)
+            centroids[j] = points[labels == j].mean(axis=0)
     d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     cost = float(d2[np.arange(n), labels].sum())
     return labels, cost, iterations
-
-
-def _fill_empty_clusters(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Force every cluster nonempty by moving over the worst-placed point
-    from a cluster of size >= 2; needed only in degenerate stuck cases."""
-    labels = labels.copy()
-    for j in range(k):
-        if np.any(labels == j):
-            continue
-        counts = np.bincount(labels, minlength=k)
-        movable = counts[labels] >= 2
-        centroids = np.vstack(
-            [points[labels == i].mean(axis=0) if counts[i] else np.zeros(points.shape[1]) for i in range(k)]
-        )
-        d = np.linalg.norm(points - centroids[labels], axis=1)
-        d[~movable] = -1.0
-        labels[int(np.argmax(d))] = j
-    return labels
 
 
 def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingResult:
@@ -172,12 +154,6 @@ def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingR
         if best is None or cost < best[1] - TOL.inequality_slack:
             best = (labels, cost, iterations)
     labels, cost, iterations = best
-
-    if np.bincount(labels, minlength=k).min() == 0:
-        labels = _fill_empty_clusters(points, labels, k)
-        centroids = np.vstack([points[labels == j].mean(axis=0) for j in range(k)])
-        cost = float(((points - centroids[labels]) ** 2).sum())
-
     p = Partition(Partition(labels, k).canonical_labels(), k)
     return RoundingResult(
         partition=p, objective=cost, iterations=iterations, restarts_used=restarts

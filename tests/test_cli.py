@@ -141,6 +141,15 @@ def test_malformed_file_exits_2_with_position(tmp_path, capsys):
     assert ":2:" in err  # line of the offending token
 
 
+def test_unallocatable_header_exits_2(tmp_path, capsys):
+    huge = tmp_path / "huge.tsv"
+    huge.write_text("10000000000 0\n")
+    code = run(["gap", "--input", huge, "--output", tmp_path / "o.json"])
+    assert code == 2
+    assert "huge.tsv:1:1: vertex count" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_missing_input_exits_2(tmp_path):
     code = run(["gap", "--input", tmp_path / "nope.tsv", "--output", tmp_path / "o.json"])
     assert code == 2

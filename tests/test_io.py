@@ -51,6 +51,13 @@ def test_read_edge_list_header_errors(tmp_path):
         rc.read_edge_list(write(tmp_path, ""))
 
 
+def test_read_edge_list_rejects_unallocatable_vertex_count(tmp_path):
+    # n * n * 8 bytes overflows the address space, so numpy refuses the
+    # weight matrix before allocating anything
+    with pytest.raises(FileFormatError, match=r":1:1: vertex count 10000000000 is too large"):
+        rc.read_edge_list(write(tmp_path, "10000000000 0\n"))
+
+
 def test_read_edge_list_edge_errors(tmp_path):
     # i >= j is rejected (upper-triangle convention)
     with pytest.raises(FileFormatError, match=r":2:"):

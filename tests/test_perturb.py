@@ -9,6 +9,7 @@ from ratiocut.errors import (
     DegenerateAlignmentWarning,
     HypothesisViolation,
     InputError,
+    SingletonBlockWarning,
     SizeError,
 )
 
@@ -301,6 +302,37 @@ def test_theoretical_bound_rejects_zero_eigengap():
         rc.theoretical_bound(g, p)
 
 
+def _planted_with_split_block(rng):
+    """Blocks of 4, 5 and 6 vertices; block 0 is two disjoint pairs held
+    together only through the other blocks."""
+    g, p = rc.gen_planted_blocks([4, 5, 6], 1.0, 0.0)
+    w = g.weights.copy()
+    w[:4, :4] = 0.0
+    w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0
+    cross = p.labels[:, None] != p.labels[None, :]
+    noise = np.triu(rng.uniform(0.01, 0.05, w.shape), 1)
+    w[cross] = (noise + noise.T)[cross]
+    return rc.WeightedGraph(w), p
+
+
+def test_theoretical_bound_reads_ratio_and_gap_from_certificate():
+    rng = np.random.default_rng(41)
+    cases = [rc.gen_planted_blocks(list(rng.integers(3, 12, size=3)), 1.0, cross)
+             for cross in (0.0, 0.005, 0.05, 0.3)]
+    cases.append(_planted_with_split_block(rng))
+    for g, p in cases:
+        cert = rc.certificate(g, p)
+        rep = rc.theoretical_bound(g, p)
+        assert rep.r == cert.ratio_r
+        assert rep.gap_lower == cert.min_lambda2 / (2.0 * math.log(g.n))
+    # the split block: lambda2 of block 0 is zero, r is infinite, no bound
+    assert cert.min_lambda2 == pytest.approx(0.0, abs=1e-9)
+    assert math.isinf(rep.r)
+    assert not rep.precondition_ok
+    assert rep.bound is None
+    assert rep.measured > 0.0
+
+
 def test_report_serializes():
     g, p = rc.gen_planted_blocks([3, 3, 3], 1.0, 0.01)
     rep = rc.theoretical_bound(g, p)
@@ -452,8 +484,10 @@ def test_gap_lower_per_block():
     q = rc.Partition(np.array([0] + [1] * 9), 2)
     w = np.triu(np.ones((10, 10)), 1)
     g2 = rc.WeightedGraph(w + w.T)
-    per2 = rc.gap_lower_per_block(g2, q)
+    with pytest.warns(SingletonBlockWarning):
+        per2 = rc.gap_lower_per_block(g2, q)
     assert math.isinf(per2[0])
+    assert per2[1] == pytest.approx(9.0 / (2 * math.log(9)), abs=1e-9)
 
 
 def test_linf_eigengap_random_property_small():

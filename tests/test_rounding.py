@@ -5,6 +5,7 @@ import pytest
 
 import ratiocut as rc
 from ratiocut.errors import DisconnectedGraphWarning, InputError
+from ratiocut.rounding import _lloyd
 
 
 def complete_graph(n, weight=1.0):
@@ -102,12 +103,30 @@ def test_kmeans_deterministic():
 
 
 def test_kmeans_identical_points_still_valid():
-    # degenerate input: every cluster must still be nonempty
+    # degenerate input: every cluster must still be nonempty, up to k = n
     points = np.zeros((5, 2))
-    out = rc.kmeans_round(points, 2, seed=0, restarts=2)
-    assert out.partition.k == 2
-    assert out.partition.sizes().min() >= 1
-    assert out.objective == pytest.approx(0.0, abs=1e-12)
+    for k in range(2, 6):
+        out = rc.kmeans_round(points, k, seed=0, restarts=2)
+        assert out.partition.k == k
+        assert out.partition.sizes().min() >= 1
+        assert out.objective == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lloyd_keeps_every_cluster_nonempty_on_duplicate_points():
+    # few distinct points, so seeded centroids often coincide and several
+    # clusters start empty at once; each must be re-seeded from a donor that
+    # keeps a member, with no point handed to two clusters
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(k, 12))
+        points = rng.integers(0, 2, size=(n, 2)).astype(float)
+        for _ in range(3):
+            centroids = points[rng.choice(n, size=k, replace=False)].copy()
+            labels, cost, _ = _lloyd(points, centroids)
+            assert np.bincount(labels, minlength=k).min() >= 1, (seed, labels)
+            means = np.vstack([points[labels == j].mean(axis=0) for j in range(k)])
+            assert cost == pytest.approx(((points - means[labels]) ** 2).sum(), abs=1e-12)
 
 
 def test_kmeans_validation():

@@ -3,6 +3,10 @@
 Failures must use the documented error types of ``ratiocut.errors``: an
 ``assert`` disappears under ``python -O`` and a bare ``RuntimeError`` is not
 part of the documented interface.
+
+Every Laplacian spectrum comes from ``eigen``: no module other than
+``eigen.py`` calls ``sym_eig``; the others ask ``eigen`` for the quantity
+(``lambda2``, ``fiedler``, ``eigenmap``) they need.
 """
 import ast
 from pathlib import Path
@@ -35,3 +39,33 @@ def test_rule_detects_both_forms(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def f(x):\n    assert x\n    raise RuntimeError('no')\n")
     assert _violations(bad) == ["bad.py:2: assert", "bad.py:3: raise RuntimeError"]
+
+
+def _sym_eig_calls(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "sym_eig":
+                found.append(f"{path.name}:{node.lineno}: sym_eig call")
+    return found
+
+
+def test_only_eigen_calls_sym_eig():
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "eigen.py"]
+    assert sources
+    calls = [c for path in sources for c in _sym_eig_calls(path)]
+    assert calls == []
+
+
+def test_spectrum_rule_detects_direct_and_qualified_calls(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .eigen import sym_eig\n"
+        "from . import eigen\n"
+        "def f(l):\n"
+        "    values, _ = sym_eig(l)\n"
+        "    return eigen.sym_eig(l)\n"
+    )
+    assert _sym_eig_calls(bad) == ["bad.py:4: sym_eig call", "bad.py:5: sym_eig call"]
