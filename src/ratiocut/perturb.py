@@ -28,6 +28,7 @@ from .eigen import eigenmap, lambda2
 from .errors import DegenerateAlignmentWarning, HypothesisViolation, InputError, SizeError, SolverError
 from .graphs import Partition, WeightedGraph, diameter, is_connected, laplacian
 from .simplex import OPTIMAL, solve_lp
+from .tolerances import DEFAULT as TOL
 
 GAP_EXACT_MAX_N = 200
 
@@ -77,7 +78,7 @@ def two_to_inf_norm(m) -> float:
 
 def _check_orthonormal(u: np.ndarray, name: str) -> None:
     gram = u.T @ u
-    if np.max(np.abs(gram - np.eye(u.shape[1]))) > 1e-6:
+    if np.max(np.abs(gram - np.eye(u.shape[1]))) > TOL.orthonormality:
         raise InputError(f"{name} does not have orthonormal columns")
 
 
@@ -99,7 +100,7 @@ def procrustes_align(u: np.ndarray, u_iso: np.ndarray) -> tuple[np.ndarray, np.n
     _check_orthonormal(u, "first factor")
     _check_orthonormal(u_iso, "second factor")
     v1, sigma, v2t = np.linalg.svd(u.T @ u_iso)
-    if sigma.size and sigma.min() < 1e-8:
+    if sigma.size and sigma.min() < TOL.procrustes_degeneracy:
         warnings.warn(
             "subspaces are nearly orthogonal; alignment is ill-determined",
             DegenerateAlignmentWarning,
@@ -174,7 +175,7 @@ def theoretical_bound(g: WeightedGraph, p: Partition) -> PerturbationReport:
 
     k = p.k
     emb = eigenmap(g, min(k + 1, n))
-    if k < n and emb.values[k] - emb.values[k - 1] < 1e-9:
+    if k < n and emb.values[k] - emb.values[k - 1] < TOL.eigengap:
         raise HypothesisViolation("eigengap at k is numerically zero")
     measured = two_to_inf_error(emb.U[:, :k], canonical_uiso(p))
 

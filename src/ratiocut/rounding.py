@@ -235,7 +235,7 @@ def proximity_check(points, p: Partition) -> ProximityReport:
             rhs[i, j] = rhs[j, i] = rhs_ij
             gap_dir = centroids[j] - centroids[i]
             norm = float(np.linalg.norm(gap_dir))
-            if norm < 1e-12:
+            if norm < TOL.coincident_points:
                 degenerate.append((i, j))
                 holds = False
                 continue
@@ -282,7 +282,7 @@ def hyperplane_margin_bound(c1, c2, radius: float, x, y) -> tuple[float, float]:
         raise InputError("y lies outside the second ball")
     diff = y - x
     norm = float(np.linalg.norm(diff))
-    if norm < 1e-12:
+    if norm < TOL.coincident_points:
         raise InputError("x and y coincide; the bisecting hyperplane is undefined")
     normal = diff / norm
     mid = 0.5 * (x + y)

@@ -23,6 +23,14 @@ class Tolerances:
     lp_pivot: float = 1e-9
     #: feasibility threshold for the simplex phase-1 objective
     lp_feasibility: float = 1e-7
+    #: accepted max|U^T U - I| of a basis handed to the perturbation routines
+    orthonormality: float = 1e-6
+    #: smallest singular value of U^T U_iso below which Procrustes alignment warns
+    procrustes_degeneracy: float = 1e-8
+    #: smallest eigengap lambda_{k+1} - lambda_k the perturbation bound accepts
+    eigengap: float = 1e-9
+    #: distance below which two points or centroids count as coincident
+    coincident_points: float = 1e-12
 
 
 DEFAULT = Tolerances()

@@ -56,8 +56,27 @@ def test_certified_partition_is_global_optimum(report):
         and abs(oracle.value - rc.ratio_cut(g, planted)) <= 1e-9
         and elapsed < 1.0
     )
-    report("certificate-implies-global-optimum", ok,
-           f"ratio {cert.ratio_r:.3f}, {oracle.partitions_examined} partitions, {elapsed:.2f}s")
+    # the oracle's advertised cap: three blocks at n = 14, 788,970 partitions
+    start = time.perf_counter()
+    g3, planted3 = rc.gen_planted_blocks([4, 5, 5], 1.0, 0.2)
+    cert3 = rc.certificate(g3, planted3)
+    oracle3 = rc.min_ratio_cut_bruteforce(g3, 3)
+    elapsed3 = time.perf_counter() - start
+
+    ok3 = (
+        cert3.passes
+        and cert3.strict
+        and abs(cert3.ratio_r - 0.05) <= 1e-9
+        and oracle3.partitions_examined == 788970
+        and oracle3.unique
+        and rc.same_partition(oracle3.best, planted3)
+        and oracle3.value == rc.ratio_cut(g3, oracle3.best)
+        and abs(oracle3.value - rc.ratio_cut(g3, planted3)) <= 1e-9
+        and elapsed3 < 10.0
+    )
+    report("certificate-implies-global-optimum", ok and ok3,
+           f"ratio {cert.ratio_r:.3f}, {oracle.partitions_examined} partitions, {elapsed:.2f}s; "
+           f"ratio {cert3.ratio_r:.3f}, {oracle3.partitions_examined} partitions, {elapsed3:.2f}s")
 
 
 def test_failed_certificate_example_has_better_cut(report):

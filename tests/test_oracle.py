@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -18,15 +19,42 @@ def stirling2(n, k):
 
 def all_partitions_by_filtering(n, k):
     """Independent enumeration: filter all label vectors, deduplicate by
-    canonical form."""
+    canonical form (blocks relabeled in order of first occurrence)."""
     seen = set()
     for assignment in product(range(k), repeat=n):
-        labels = np.array(assignment)
         if len(set(assignment)) != k:
             continue
-        canon = tuple(rc.Partition(labels, k).canonical_labels())
-        seen.add(canon)
+        first_seen = {}
+        seen.add(tuple(first_seen.setdefault(lab, len(first_seen)) for lab in assignment))
     return seen
+
+
+@lru_cache(maxsize=None)
+def partitions_in_lexicographic_order(n, k):
+    return [rc.Partition(np.array(labels), k) for labels in sorted(all_partitions_by_filtering(n, k))]
+
+
+def reference_minimum(g, k):
+    """Minimum ratio cut over the filtering route, ties to the lexicographically
+    first partition, with the second smallest value as runner-up."""
+    partitions = partitions_in_lexicographic_order(g.n, k)
+    values = [rc.ratio_cut(g, p) for p in partitions]
+    first = min(range(len(values)), key=lambda i: (values[i], i))
+    ordered = sorted(values)
+    runner_up = ordered[1] if len(ordered) > 1 else None
+    return tuple(partitions[first].labels), values[first], runner_up, len(values)
+
+
+def equivalence_graphs(n):
+    rng = np.random.default_rng(100 + n)
+    weighted = np.triu(rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+    binary = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+    return {
+        "weighted": weighted + weighted.T,
+        "binary": binary + binary.T,
+        "zero": np.zeros((n, n)),
+        "complete": np.ones((n, n)),
+    }
 
 
 def test_counts_against_direct_enumeration():
@@ -156,3 +184,30 @@ def test_oracle_result_serializes():
     text = rc.canonical_json(res.to_dict())
     assert '"unique": true' in text
     assert '"partitions_examined": 7' in text
+
+
+def test_bruteforce_matches_filtering_route_exactly():
+    for n in range(1, 10):
+        for name, w in equivalence_graphs(n).items():
+            g = rc.WeightedGraph(w)
+            for k in range(1, min(n, 4) + 1):
+                labels, value, runner_up, count = reference_minimum(g, k)
+                res = rc.min_ratio_cut_bruteforce(g, k)
+                case = (n, k, name)
+                assert tuple(res.best.labels) == labels, case
+                assert res.value == rc.ratio_cut(g, res.best) == value, case
+                assert res.runner_up == runner_up, case
+                assert res.unique == (runner_up is None or runner_up > value + 1e-9), case
+                assert res.partitions_examined == count, case
+
+
+def test_bruteforce_all_ties_across_many_blocks():
+    # every partition of the empty graph scores 0: the first string in
+    # lexicographic order must win and the runner-up must tie it, although
+    # the 86,526 strings arrive in many separately scored arrays
+    res = rc.min_ratio_cut_bruteforce(rc.WeightedGraph(np.zeros((12, 12))), 3)
+    assert res.best.labels.tolist() == [0] * 10 + [1, 2]
+    assert res.value == 0.0
+    assert res.runner_up == 0.0
+    assert not res.unique
+    assert res.partitions_examined == stirling2(12, 3)

@@ -7,6 +7,9 @@ part of the documented interface.
 Every Laplacian spectrum comes from ``eigen``: no module other than
 ``eigen.py`` calls ``sym_eig``; the others ask ``eigen`` for the quantity
 (``lambda2``, ``fiedler``, ``eigenmap``) they need.
+
+Every small threshold lives in ``Tolerances``: no module other than
+``tolerances.py`` spells out a float literal with ``0 < |x| < 1e-3``.
 """
 import ast
 from pathlib import Path
@@ -69,3 +72,29 @@ def test_spectrum_rule_detects_direct_and_qualified_calls(tmp_path):
         "    return eigen.sym_eig(l)\n"
     )
     assert _sym_eig_calls(bad) == ["bad.py:4: sym_eig call", "bad.py:5: sym_eig call"]
+
+
+def _small_float_literals(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0.0 < abs(node.value) < 1e-3:
+            found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    return found
+
+
+def test_small_float_literals_live_in_tolerances():
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "tolerances.py"]
+    assert sources
+    literals = [lit for path in sources for lit in _small_float_literals(path)]
+    assert literals == []
+
+
+def test_tolerance_rule_detects_small_literals(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(x):\n"
+        "    if x < 1e-12:\n"
+        "        return -2.5e-4\n"
+        "    return x * 0.001 + 0.0 + 5 + 1e-3j\n"
+    )
+    assert _small_float_literals(bad) == ["bad.py:2: 1e-12", "bad.py:3: 0.00025"]
