@@ -4,7 +4,8 @@ For a connected graph, the smallest value of ||L x||_inf over mean-zero
 vectors with ||x||_inf = 1 measures how strongly the Laplacian acts in
 the worst coordinate. It is bounded below by lambda2 / (2 ln n), above by
 lambda2, and for unweighted graphs also by 4 * max degree / diameter.
-The exact value comes from one linear program per pinned coordinate.
+The exact value is the smallest optimum of one linear program per pinned
+coordinate, which has a closed form in the Laplacian's pseudo-inverse.
 
 Paths are the classic near-tight case for the diameter bound; dense
 random graphs sit close to lambda2 instead.

@@ -9,7 +9,7 @@ keys, 12 significant digits) so identical inputs give byte-identical files.
 Exit status: 0 on success, 2 on input problems (bad flags, malformed
 files), 3 when a theorem hypothesis is violated (e.g. a block smaller
 than 3 for `bound`), 4 when a numerical solver fails or its result fails
-its check (e.g. the simplex iteration limit in `gap`).
+its check (e.g. a gap bracket in `gap` that does not close).
 """
 
 from __future__ import annotations

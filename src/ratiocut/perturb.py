@@ -12,7 +12,7 @@ which holds whenever the perturbation/eigengap ratio r is at most
 
 Also provides the l-infinity eigengap estimates: the spectral lower bound
 lambda2/(2 ln n), the 4M/D upper bound for unweighted connected graphs, and
-the exact infimum computed by a family of small linear programs.
+the infimum itself, certified to a narrow bracket.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .certify import certificate, intra_connectivities
 from .eigen import eigenmap, lambda2
 from .errors import DegenerateAlignmentWarning, HypothesisViolation, InputError, SizeError, SolverError
 from .graphs import Partition, WeightedGraph, diameter, is_connected, laplacian
-from .simplex import OPTIMAL, solve_lp
+from .simplex import gap_certificate
 from .tolerances import DEFAULT as TOL
 
 GAP_EXACT_MAX_N = 200
@@ -223,53 +223,27 @@ def gap_upper_bound_unweighted(g: WeightedGraph) -> float:
     return 4.0 * float(g.degrees().max()) / diameter(g)
 
 
-def _gap_lp(l: np.ndarray, i: int) -> float:
-    """Exact min of ||Lx||_inf over x perp 1 with x_i = 1, |x_j| <= 1.
-
-    Shifted variables y_j = x_j + 1 in [0, 2] for j != i keep the program in
-    nonnegative standard form; L @ 1 = 0 turns the pinned column into the
-    constant 2 L[:, i].
-    """
-    n = l.shape[0]
-    others = np.delete(np.arange(n), i)
-    lj = l[:, others]
-    li = l[:, i]
-
-    nvar = n  # n-1 shifted coordinates plus the bound variable t
-    c = np.zeros(nvar)
-    c[-1] = 1.0
-
-    a_ub = np.zeros((2 * n + (n - 1), nvar))
-    b_ub = np.zeros(2 * n + (n - 1))
-    a_ub[:n, :-1] = lj
-    a_ub[:n, -1] = -1.0
-    b_ub[:n] = -2.0 * li
-    a_ub[n : 2 * n, :-1] = -lj
-    a_ub[n : 2 * n, -1] = -1.0
-    b_ub[n : 2 * n] = 2.0 * li
-    a_ub[2 * n :, :-1] = np.eye(n - 1)
-    b_ub[2 * n :] = 2.0
-
-    a_eq = np.ones((1, nvar))
-    a_eq[0, -1] = 0.0
-    b_eq = np.array([float(n - 2)])
-
-    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    if res.status != OPTIMAL:
-        raise SolverError(f"gap LP unexpectedly {res.status} at pinned coordinate {i}")
-    return float(res.objective)
-
-
 def gap_exact(g: WeightedGraph) -> float:
-    """Exact l-infinity gap inf_{x perp 1} ||Lx||_inf / ||x||_inf.
+    """The l-infinity gap inf_{x perp 1} ||Lx||_inf / ||x||_inf, certified.
 
-    Solved by n linear programs, one per coordinate pinned at the sup-norm
-    value 1 (pinning at -1 is covered by sign symmetry). Capped at n <= 200
-    since the dense simplex underneath is a desk-scale tool.
+    Zero for a disconnected graph (a centred component indicator has
+    ``Lx = 0``). Otherwise ``simplex.gap_certificate`` solves the n programs
+    that pin one coordinate at the sup-norm value 1 (pinning at -1 is
+    covered by sign symmetry) in closed form, and returns a weak-duality
+    lower bound for each and the ratio ||Lx||_inf / ||x - mean(x)||_inf of
+    one vector. That ratio is returned, so the value is never below the
+    true gap, and only when the bracket is at most ``gap_bracket *
+    max(1, value)`` wide; otherwise SolverError is raised. Capped at
+    n <= 200.
     """
     if g.n < 2:
         raise InputError("gap needs at least 2 vertices")
     if g.n > GAP_EXACT_MAX_N:
         raise SizeError(f"exact gap is capped at n <= {GAP_EXACT_MAX_N}, got {g.n}")
-    l = laplacian(g)
-    return min(_gap_lp(l, i) for i in range(g.n))
+    if not is_connected(g):
+        return 0.0
+    lowers, value = gap_certificate(laplacian(g))
+    lower = float(lowers.min())
+    if not value - lower <= TOL.gap_bracket * max(1.0, value):
+        raise SolverError(f"gap bracket [{lower:.12g}, {value:.12g}] did not close")
+    return value

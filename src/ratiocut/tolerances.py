@@ -19,10 +19,8 @@ class Tolerances:
     certificate_comparison: float = 1e-12
     #: generic absolute slack for inequality checks (bounds, margins)
     inequality_slack: float = 1e-9
-    #: pivot threshold of the dense simplex solver
-    lp_pivot: float = 1e-9
-    #: feasibility threshold for the simplex phase-1 objective
-    lp_feasibility: float = 1e-7
+    #: width, relative to max(1, value), a certified gap bracket must close to
+    gap_bracket: float = 1e-9
     #: accepted max|U^T U - I| of a basis handed to the perturbation routines
     orthonormality: float = 1e-6
     #: smallest singular value of U^T U_iso below which Procrustes alignment warns

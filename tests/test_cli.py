@@ -186,11 +186,11 @@ def test_solver_error_exits_4(tmp_path, monkeypatch, capsys):
          "--output", g_path, "--partition", tmp_path / "p.txt"])
 
     def failing(g):
-        raise rc.SolverError("simplex iteration limit reached")
+        raise rc.SolverError("gap bracket [0.5, 0.6] did not close")
 
     monkeypatch.setattr(cli, "gap_exact", failing)
     assert run(["gap", "--input", g_path, "--output", tmp_path / "o.json"]) == 4
-    assert capsys.readouterr().err == "error: simplex iteration limit reached\n"
+    assert capsys.readouterr().err == "error: gap bracket [0.5, 0.6] did not close\n"
 
 
 def test_argparse_rejects_unknown_method(tmp_path):

@@ -475,6 +475,38 @@ def test_gap_exact_k2():
     assert rc.gap_exact(complete_graph(2)) == pytest.approx(2.0, abs=1e-9)
 
 
+def test_gap_exact_n80_defect_draw(gap_defect_graph, highs_pinned):
+    # the dense simplex that solved these programs before returned 1.004e-9
+    # at pinned coordinate 33 of this graph without an error (HiGHS: 7.035),
+    # an answer below the spectral lower bound 0.918
+    g = gap_defect_graph
+    exact = rc.gap_exact(g)
+    assert exact == pytest.approx(highs_pinned(rc.laplacian(g)).min(), abs=1e-7)
+    assert exact == pytest.approx(5.1435439296, abs=1e-7)
+    assert exact >= rc.gap_lower_bound(g)
+
+
+# a 4x6 grid with permuted vertex labels, frozen from the benchmark's
+# gap-exact instance r0-15-grid4x6 at seed 1, on which the dense simplex
+# hit its iteration limit
+PERMUTED_GRID_4X6_EDGES = [
+    (0, 4), (0, 7), (0, 10), (1, 5), (1, 15), (2, 19), (2, 20), (3, 11), (3, 21), (4, 22),
+    (5, 13), (5, 23), (6, 8), (6, 21), (6, 23), (7, 12), (7, 18), (8, 9), (8, 16), (8, 18),
+    (9, 10), (9, 11), (9, 21), (10, 18), (10, 22), (11, 22), (12, 17), (12, 20), (13, 14),
+    (13, 15), (13, 16), (14, 17), (14, 19), (14, 20), (15, 19), (16, 17), (16, 23), (17, 18),
+]
+
+
+def test_gap_exact_permuted_grid_4x6(highs_pinned):
+    w = np.zeros((24, 24))
+    for a, b in PERMUTED_GRID_4X6_EDGES:
+        w[a, b] = w[b, a] = 1.0
+    g = rc.WeightedGraph(w)
+    exact = rc.gap_exact(g)
+    assert exact == pytest.approx(highs_pinned(rc.laplacian(g)).min(), abs=1e-7)
+    assert exact >= rc.gap_lower_bound(g)
+
+
 def test_gap_lower_per_block():
     g, p = rc.gen_planted_blocks([4, 6], 1.0, 0.1)
     per = rc.gap_lower_per_block(g, p)

@@ -1,124 +1,55 @@
+"""The pinned gap programs solved by ``simplex.gap_certificate``.
+
+Pin i: minimize t over (x, t) with -t <= (Lx)_r <= t, |x_j| <= 1,
+sum(x) = 0 and x_i = 1; the gap is the smallest optimum over the pins.
+"""
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
-from ratiocut.errors import InputError
-from ratiocut.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+import ratiocut as rc
+from ratiocut import simplex
+from ratiocut.tolerances import DEFAULT as TOL
+
+
+def complete_laplacian(m):
+    return rc.laplacian(rc.WeightedGraph(1.0 - np.eye(m)))
 
 
 def test_tiny_lp_by_hand():
-    # min -x - y  s.t.  x + y <= 4, x <= 3, y <= 2
-    # the x + y <= 4 face is optimal, objective -4
-    res = solve_lp([-1.0, -1.0], a_ub=[[1, 1], [1, 0], [0, 1]], b_ub=[4, 3, 2])
-    assert res.status == OPTIMAL
-    assert res.objective == pytest.approx(-4.0, abs=1e-9)
-    assert res.x.sum() == pytest.approx(4.0, abs=1e-9)
-
-
-def test_equality_constraint():
-    # min x + 2y  s.t.  x + y == 3  ->  x=3, y=0
-    res = solve_lp([1.0, 2.0], a_eq=[[1, 1]], b_eq=[3])
-    assert res.status == OPTIMAL
-    assert res.x == pytest.approx([3.0, 0.0], abs=1e-9)
-    assert res.objective == pytest.approx(3.0, abs=1e-9)
-
-
-def test_negative_rhs_inequality():
-    # x >= 2 written as -x <= -2; minimize x
-    res = solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-2.0])
-    assert res.status == OPTIMAL
-    assert res.x[0] == pytest.approx(2.0, abs=1e-9)
-
-
-def test_infeasible_detected():
-    res = solve_lp([1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])  # x<=1 and x>=2
-    assert res.status == INFEASIBLE
-    assert res.x is None
-
-
-def test_unbounded_detected():
-    res = solve_lp([-1.0], a_ub=[[-1.0]], b_ub=[0.0])  # minimize -x, x >= 0
-    assert res.status == UNBOUNDED
-
-
-def test_no_constraints():
-    res = solve_lp([2.0, 0.0])
-    assert res.status == OPTIMAL and res.objective == 0.0
-    assert solve_lp([-1.0]).status == UNBOUNDED
-
-
-def test_shape_validation():
-    with pytest.raises(InputError):
-        solve_lp([1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
-    with pytest.raises(InputError):
-        solve_lp(np.zeros((2, 2)))
+    # K_m: L = m I - 11^T, so Lx = m x for every x perp 1 and every pin's
+    # optimum is m (K2: x = (1, -1), t = 2)
+    for m in (2, 3, 4):
+        lowers, upper = simplex.gap_certificate(complete_laplacian(m))
+        assert upper == pytest.approx(m, abs=1e-9)
+        assert lowers == pytest.approx(np.full(m, float(m)), abs=1e-9)
 
 
 def test_degenerate_lp_is_deterministic():
-    # multiple optima; Bland's rule must give the same vertex every time
-    c = [0.0, 0.0, 1.0]
-    a_ub = [[1, 1, 0], [-1, -1, -1]]
-    b_ub = [2.0, -1.0]
-    first = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
-    second = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
-    assert first.status == OPTIMAL
-    assert np.array_equal(first.x, second.x)
+    # every vector perp 1 is optimal on K5; the certificate must not depend
+    # on anything but the input
+    lap = complete_laplacian(5)
+    first = simplex.gap_certificate(lap)
+    second = simplex.gap_certificate(lap.copy())
+    assert np.array_equal(first[0], second[0])
+    assert first[1] == second[1]
 
 
-def test_random_lps_match_scipy():
-    """Cross-check objective values against an independent implementation.
+def test_random_lps_match_scipy(highs_pinned):
+    """Cross-check the certificate against an independent solver.
 
-    Feasibility is guaranteed by construction (b = A x0 + margin) and the
-    box rows keep every program bounded.
+    A path of weight >= 1 under every draw keeps the graph connected.
     """
     rng = np.random.default_rng(42)
-    for trial in range(30):
-        nvar = int(rng.integers(2, 7))
-        nub = int(rng.integers(1, 5))
-        a = rng.normal(size=(nub, nvar))
-        x0 = rng.uniform(0, 2, nvar)
-        b = a @ x0 + rng.uniform(0.1, 1.0, nub)
-        box = np.eye(nvar)
-        a_ub = np.vstack([a, box])
-        b_ub = np.concatenate([b, np.full(nvar, 10.0)])
-        c = rng.normal(size=nvar)
+    for trial in range(15):
+        n = int(rng.integers(3, 13))
+        w = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.4), 1)
+        for i in range(n - 1):
+            w[i, i + 1] = max(w[i, i + 1], 1.0)
+        lap = rc.laplacian(rc.WeightedGraph(w + w.T))
 
-        mine = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
-        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-        assert mine.status == OPTIMAL
-        assert ref.status == 0
-        assert mine.objective == pytest.approx(ref.fun, abs=1e-7)
-
-
-def test_random_lps_with_equalities_match_scipy():
-    rng = np.random.default_rng(43)
-    for trial in range(20):
-        nvar = int(rng.integers(3, 7))
-        a_eq = rng.normal(size=(1, nvar))
-        x0 = rng.uniform(0, 2, nvar)
-        b_eq = a_eq @ x0
-        a_ub = np.eye(nvar)
-        b_ub = np.full(nvar, 5.0)
-        c = rng.normal(size=nvar)
-
-        mine = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=(0, None), method="highs")
-        assert mine.status == OPTIMAL and ref.status == 0
-        assert mine.objective == pytest.approx(ref.fun, abs=1e-7)
-
-
-def test_solution_satisfies_constraints():
-    rng = np.random.default_rng(44)
-    for trial in range(10):
-        nvar = 5
-        a_ub = rng.normal(size=(4, nvar))
-        x0 = rng.uniform(0, 1, nvar)
-        b_ub = a_ub @ x0 + 0.5
-        c = rng.normal(size=nvar)
-        a_ub = np.vstack([a_ub, np.eye(nvar)])
-        b_ub = np.concatenate([b_ub, np.full(nvar, 8.0)])
-        res = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
-        assert res.status == OPTIMAL
-        assert np.all(res.x >= -1e-9)
-        assert np.all(a_ub @ res.x <= b_ub + 1e-7)
+        lowers, upper = simplex.gap_certificate(lap)
+        optima = highs_pinned(lap)
+        gap = optima.min()
+        assert np.all(lowers <= optima + 1e-9 * np.maximum(1.0, optima))
+        assert upper - lowers.min() <= TOL.gap_bracket * max(1.0, upper)
+        assert upper == pytest.approx(gap, abs=1e-7)
