@@ -15,6 +15,7 @@ its check (e.g. a gap bracket in `gap` that does not close).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import fileio
@@ -144,9 +145,7 @@ def cmd_oracle(args) -> int:
 def cmd_eigenmap(args) -> int:
     g = fileio.read_edge_list(args.input)
     emb = eigenmap(g, args.k)
-    with open(args.output, "w") as fh:
-        for row in emb.U:
-            fh.write("\t".join(fileio.format_float(x) for x in row) + "\n")
+    fileio._write_embedding(args.output, emb.U)
     print(f"wrote {emb.n}x{emb.k} embedding to {args.output}")
     return 0
 
@@ -164,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--cross", type=float, help="cross-block edge weight for planted")
     p_gen.add_argument("--output", required=True, help="edge-list file to write")
     p_gen.add_argument("--partition", required=True, help="planted partition file to write")
-    p_gen.set_defaults(func=cmd_gen)
 
     p_cluster = sub.add_parser("cluster", help="spectral clustering: eigenmap plus rounding")
     p_cluster.add_argument("--input", required=True, help="edge-list file to read")
@@ -174,45 +172,47 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--restarts", type=int, default=10)
     p_cluster.add_argument("--partition", required=True, help="partition file to write")
     p_cluster.add_argument("--output", required=True, help="summary JSON to write")
-    p_cluster.set_defaults(func=cmd_cluster)
 
     p_certify = sub.add_parser("certify", help="test a partition for certified ratio cut optimality")
     p_certify.add_argument("--input", required=True)
     p_certify.add_argument("--partition", required=True, help="partition file to read")
     p_certify.add_argument("--output", required=True, help="certificate JSON to write")
-    p_certify.set_defaults(func=cmd_certify)
 
     p_bound = sub.add_parser("bound", help="evaluate the eigenmap perturbation bound")
     p_bound.add_argument("--input", required=True)
     p_bound.add_argument("--partition", required=True, help="partition file to read")
     p_bound.add_argument("--output", required=True, help="report JSON to write")
-    p_bound.set_defaults(func=cmd_bound)
 
     p_gap = sub.add_parser("gap", help="l-infinity eigengap estimates")
     p_gap.add_argument("--input", required=True)
     p_gap.add_argument("--output", required=True, help="JSON to write")
-    p_gap.set_defaults(func=cmd_gap)
 
     p_oracle = sub.add_parser("oracle", help="exact minimum ratio cut by enumeration (small n)")
     p_oracle.add_argument("--input", required=True)
     p_oracle.add_argument("--k", type=int, required=True)
     p_oracle.add_argument("--output", required=True, help="JSON to write")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_eig = sub.add_parser("eigenmap", help="dump embedding coordinates as TSV")
     p_eig.add_argument("--input", required=True)
     p_eig.add_argument("--k", type=int, required=True)
     p_eig.add_argument("--output", required=True, help="TSV to write")
-    p_eig.set_defaults(func=cmd_eigenmap)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a rebound cmd_* (a test double, a tracing
+    # wrapper) takes effect although the parser outlives it
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except HypothesisViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,12 +1,24 @@
-"""Edge-list and partition file formats plus canonical JSON emission.
+"""Edge-list, partition and embedding file formats plus canonical JSON emission.
 
-Edge-list format (TSV, byte-exact contract):
+Edge-list format (byte-exact contract):
     line 1:        ``n m``
     lines 2..m+1:  ``i j w``  with ``0 <= i < j < n`` and ``w > 0``
 Tokens are whitespace-separated; duplicate ``(i, j)`` lines are an error.
 
 Partition format: one integer label per line, labels in ``[0, k)`` with every
 label present.
+
+The writers emit one canonical spelling: tokens separated by single spaces,
+every line ended by ``\n``, integers without sign or leading zeros, and
+weights as ``repr`` spells them (``0.5``, ``1.0``, ``1e-05``, ``5e-324``).
+An edge list whose body lines (the lines after the header) are all canonical
+is read in one vectorised numpy pass. Any other spelling goes through a
+token-by-token loop: valid ones (tabs, repeated blanks, ``+1``, ``1.5E3``,
+no final newline) read to the same values, and that loop is the only place
+that reports a malformed body.
+
+Embedding format: one row per vertex, coordinates separated by tabs and
+spelled as in the JSON outputs.
 
 JSON outputs are canonical: keys sorted, floats at 12 significant digits, so
 identical inputs produce byte-identical files.
@@ -24,6 +36,16 @@ from .errors import FileFormatError, InputError
 from .graphs import Partition, WeightedGraph
 
 _TOKEN = re.compile(r"\S+")
+
+# One canonical edge line as the writer spells it, newline included. ASCII
+# digits only: ``\d`` would also match digits of other scripts, which int()
+# accepts. At most 18 digits keep every index inside int64. A body is
+# canonical when deleting every match leaves nothing; one pattern repeated
+# over the whole body would keep backtracking state for every line (1.5 MB
+# for an 80 kB edge list), and ``*+`` needs Python 3.11.
+_INT = r"(?:0|[1-9][0-9]{0,17})"
+_WEIGHT = r"(?:(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-][0-9]{2,3})"
+_EDGE_LINE = re.compile(rf"{_INT} {_INT} {_WEIGHT}\n")
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:
@@ -61,7 +83,8 @@ def read_edge_list(path: str) -> WeightedGraph:
         With a ``path:line:col`` prefix on any malformed content.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+        text = fh.read()
+    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -84,8 +107,39 @@ def read_edge_list(path: str) -> WeightedGraph:
         raise _fail(
             path, 1, header[0][1], f"vertex count {n} is too large for an n-by-n weight matrix"
         ) from None
+    if not _canonical_edges(text[len(lines[0]) + 1:], weights):
+        _edge_lines(path, lines[1:], weights)
+    return WeightedGraph(weights)
+
+
+def _canonical_edges(body: str, weights: np.ndarray) -> bool:
+    """Fill ``weights`` from a canonical edge-list body in whole-array steps.
+
+    Returns False on anything but a valid canonical body and never raises,
+    so that ``_edge_lines`` stays the one reporter of malformed content.
+    ``weights`` is written only once grammar and ranges pass; a False after
+    that (a duplicate or a zero weight) leaves it unspecified, and the
+    token loop then raises.
+    """
+    if _EDGE_LINE.sub("", body):
+        return False
+    toks = body.split()
+    i = np.array(toks[0::3], dtype=np.int64)
+    j = np.array(toks[1::3], dtype=np.int64)
+    w = np.fromiter(map(float, toks[2::3]), dtype=float, count=len(i))
+    if not np.all((i < j) & (j < weights.shape[0]) & (w < math.inf)):
+        return False
+    weights[i, j] = w
+    weights[j, i] = w
+    # a repeated (i, j) wrote one cell twice; a weight that underflowed wrote 0
+    return np.count_nonzero(weights) == 2 * w.size
+
+
+def _edge_lines(path: str, lines: list[str], weights: np.ndarray) -> None:
+    """Parse edge lines token by token into ``weights``, raising on the first fault."""
+    n = weights.shape[0]
     seen: set[tuple[int, int]] = set()
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines, start=2):
         toks = _tokens(line)
         if len(toks) != 3:
             raise _fail(path, line_no, 1, f"edge line must be 'i j w', got {len(toks)} tokens")
@@ -104,7 +158,6 @@ def read_edge_list(path: str) -> WeightedGraph:
             raise _fail(path, line_no, toks[0][1], f"duplicate edge ({i}, {j})")
         seen.add((i, j))
         weights[i, j] = weights[j, i] = w
-    return WeightedGraph(weights)
 
 
 def write_edge_list(path: str, g: WeightedGraph) -> None:
@@ -144,6 +197,13 @@ def read_partition(path: str) -> Partition:
 def write_partition(path: str, p: Partition) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(str(int(lab)) for lab in p.labels) + "\n")
+
+
+def _write_embedding(path: str, u: np.ndarray) -> None:
+    """Write embedding coordinates, one tab-separated row per vertex."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in u:
+            fh.write("\t".join(format_float(x) for x in row) + "\n")
 
 
 def format_float(x: float) -> str:

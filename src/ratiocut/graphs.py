@@ -182,11 +182,12 @@ def induced_subgraph(g: WeightedGraph, subset) -> WeightedGraph:
 
 def connected_components(g: WeightedGraph) -> np.ndarray:
     """Component label per vertex via breadth-first search on positive weights."""
+    adj = _neighbours(g)
     comp = np.full(g.n, -1, dtype=int)
     current = 0
     for start in range(g.n):
         if comp[start] < 0:
-            comp[bfs_distances(g, start) >= 0] = current
+            comp[np.asarray(_bfs(adj, start)) >= 0] = current
             current += 1
     return comp
 
@@ -195,30 +196,44 @@ def is_connected(g: WeightedGraph) -> bool:
     return int(connected_components(g).max()) == 0
 
 
-def bfs_distances(g: WeightedGraph, source: int) -> np.ndarray:
-    """Hop distance from ``source`` to every vertex; -1 where unreachable."""
-    if not 0 <= source < g.n:
-        raise InputError("source vertex out of range")
-    dist = np.full(g.n, -1, dtype=int)
+def _neighbours(g: WeightedGraph) -> list[list[int]]:
+    """Each vertex's neighbours (positive weight), in increasing order."""
+    rows, cols = np.nonzero(g.weights > 0)
+    bounds = np.searchsorted(rows, np.arange(g.n + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[bounds[v]:bounds[v + 1]] for v in range(g.n)]
+
+
+def _bfs(adj: list[list[int]], source: int) -> list[int]:
+    """Hop distance from ``source`` over neighbour lists; -1 where unreachable."""
+    dist = [-1] * len(adj)
     dist[source] = 0
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for u in np.flatnonzero(g.weights[v] > 0):
+        for u in adj[v]:
             if dist[u] < 0:
                 dist[u] = dist[v] + 1
-                queue.append(int(u))
+                queue.append(u)
     return dist
+
+
+def bfs_distances(g: WeightedGraph, source: int) -> np.ndarray:
+    """Hop distance from ``source`` to every vertex; -1 where unreachable."""
+    if not 0 <= source < g.n:
+        raise InputError("source vertex out of range")
+    return np.array(_bfs(_neighbours(g), source), dtype=int)
 
 
 def diameter(g: WeightedGraph) -> int:
     """Longest shortest-path hop count; requires a connected graph."""
+    adj = _neighbours(g)
     best = 0
     for v in range(g.n):
-        dist = bfs_distances(g, v)
-        if dist.min() < 0:
+        dist = _bfs(adj, v)
+        if min(dist) < 0:
             raise InputError("diameter of a disconnected graph is undefined")
-        best = max(best, int(dist.max()))
+        best = max(best, max(dist))
     return best
 
 

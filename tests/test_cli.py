@@ -257,3 +257,36 @@ def test_entry_point_exit_status(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         entry_point()
     assert exc.value.code == 2
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
+    g_path, p_path = tmp_path / "g.tsv", tmp_path / "p.txt"
+    assert run(["gen", "example-blocks", "--n", 2, "--c", 0.4,
+                "--output", g_path, "--partition", p_path]) == 0
+
+    def cluster(*flags):
+        out = tmp_path / "s.json"
+        assert run(["cluster", "--input", g_path, "--k", 2, *flags,
+                    "--partition", tmp_path / "o.txt", "--output", out]) == 0
+        return json.loads(out.read_text())
+
+    # main keeps the parser it built on its first call
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a second parser"))
+    first = cluster("--seed", 5, "--method", "fiedler", "--restarts", 3)
+    assert (first["seed"], first["method"]) == (5, "fiedler")
+    assert run(["certify", "--input", g_path, "--partition", p_path,
+                "--output", tmp_path / "c.json"]) == 0
+    second = cluster()
+    assert (second["seed"], second["method"]) == (0, "kmeans")
+    with pytest.raises(SystemExit) as exc:
+        run(["cluster", "--input", g_path, "--k", 2, "--seed", "x",
+             "--partition", tmp_path / "o.txt", "--output", tmp_path / "s.json"])
+    assert exc.value.code == 2
+    assert cluster() == second
+    # handlers are looked up per call, so rebinding one takes effect
+    monkeypatch.setattr(cli, "cmd_certify", lambda args: 7)
+    assert run(["certify", "--input", g_path, "--partition", p_path,
+                "--output", tmp_path / "c.json"]) == 7
+
+    monkeypatch.undo()
+    assert cli.build_parser() is not cli.build_parser()

@@ -182,6 +182,68 @@ def test_bfs_distances():
     assert list(rc.bfs_distances(p4, 0)) == [0, 1, 2, 3]
 
 
+def _hop_distances(w: np.ndarray) -> np.ndarray:
+    """All-pairs hop distances by repeated boolean products of the adjacency; -1 if unreachable."""
+    adj = (w > 0).astype(float)
+    n = adj.shape[0]
+    dist = np.where(np.eye(n, dtype=bool), 0, -1)
+    frontier = np.eye(n)
+    for hops in range(1, n):
+        frontier = ((frontier @ adj) > 0) & (dist < 0)
+        if not frontier.any():
+            break
+        dist[frontier] = hops
+        frontier = frontier.astype(float)
+    return dist
+
+
+def _bfs_reference_graphs():
+    rng = np.random.default_rng(5)
+    graphs = []
+    for n in (1, 2, 9, 30, 80, 200):
+        graphs.append(path_graph(n))
+        w = np.zeros((n, n))
+        for i in range(n):  # a cycle (a single vertex or edge for n < 3)
+            if i != (i + 1) % n:
+                w[i, (i + 1) % n] = w[(i + 1) % n, i] = 1.0
+        graphs.append(rc.WeightedGraph(w))
+    for rows, cols in ((1, 7), (3, 3), (5, 5), (7, 12), (10, 20)):
+        n = rows * cols
+        v = np.arange(n)
+        w = np.zeros((n, n))
+        right = v[v % cols < cols - 1]
+        w[right, right + 1] = w[right + 1, right] = 1.0
+        w[v[:-cols], v[:-cols] + cols] = w[v[:-cols] + cols, v[:-cols]] = 1.0
+        graphs.append(rc.WeightedGraph(w))
+    for n, density in ((12, 0.2), (40, 0.1), (120, 0.03), (200, 0.02)):
+        order = rng.permutation(n)  # a random spanning path keeps the graph connected
+        w = np.triu(rng.random((n, n)) < density, 1).astype(float)
+        w[order[:-1], order[1:]] = 1.0
+        graphs.append(rc.WeightedGraph(np.maximum(w, w.T)))
+    return graphs
+
+
+def test_bfs_diameter_and_components_match_boolean_products():
+    for g in _bfs_reference_graphs():
+        dist = _hop_distances(g.weights)
+        for source in range(g.n):
+            assert np.array_equal(rc.bfs_distances(g, source), dist[source])
+        assert rc.diameter(g) == dist.max()
+        assert rc.is_connected(g)
+    # disconnected, weighted: components are the reachability classes
+    rng = np.random.default_rng(6)
+    for n in (15, 60):
+        w = np.triu(rng.random((n, n)) < 1.5 / n, 1) * rng.uniform(0.1, 2.0, (n, n))
+        g = rc.WeightedGraph(w + w.T)
+        dist = _hop_distances(g.weights)
+        comp = rc.connected_components(g)
+        assert np.array_equal(comp[:, None] == comp[None, :], dist >= 0)
+        assert np.array_equal(np.unique(comp), np.arange(comp.max() + 1))
+        assert not rc.is_connected(g)
+        with pytest.raises(InputError):
+            rc.diameter(g)
+
+
 def test_gen_example_blocks_structure():
     n, c = 2, 0.9
     g, p = rc.gen_example_blocks(n, c)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ratiocut as rc
+from ratiocut import fileio
 from ratiocut.errors import FileFormatError
 from ratiocut.fileio import canonical_json, format_float
 
@@ -140,3 +141,111 @@ def test_write_json_trailing_newline(tmp_path):
     text = open(path).read()
     assert text.endswith("\n")
     assert json.loads(text) == {"x": 1}
+
+
+def test_write_embedding_spells_rows_as_json_floats(tmp_path):
+    path = tmp_path / "emb.tsv"
+    fileio._write_embedding(str(path), np.array([[1.0, 0.5], [1 / 3, -2.0]]))
+    assert path.read_bytes() == b"1\t0.5\n0.333333333333\t-2\n"
+
+
+# ------------------------------------------------- fast path vs token loop
+#
+# An edge list in the spelling the writer emits is read in one numpy pass;
+# everything else goes through the token loop, the only error reporter. The
+# loop alone is the reference: forcing the fast path to decline must change
+# neither a value nor an error message.
+
+
+def _outcome(path):
+    try:
+        return "ok", rc.read_edge_list(path).weights.tobytes()
+    except FileFormatError as exc:
+        return "error", str(exc)
+
+
+def _both_routes(monkeypatch, path):
+    fast = _outcome(path)
+    with monkeypatch.context() as mp:
+        mp.setattr(fileio, "_canonical_edges", lambda body, weights: False)
+        loop = _outcome(path)
+    return fast, loop
+
+
+def _generated_graphs():
+    rng = np.random.default_rng(11)
+    awkward = [5e-324, 1e300, 0.1 + 0.2, 1e-05, 1.0, 2.0, 7.0, 123456.0, 1e16, 1 / 3]
+    graphs = [rc.WeightedGraph(np.zeros((1, 1))), rc.WeightedGraph(np.zeros((4, 4)))]
+    for n in (2, 5, 12, 40):
+        w = np.triu(rng.random((n, n)) < 0.6, 1) * rng.uniform(0.01, 50.0, (n, n))
+        cells = np.flatnonzero(w)
+        w.flat[cells[: len(awkward)]] = awkward[: cells.size]
+        graphs.append(rc.WeightedGraph(w + w.T))
+    graphs.append(rc.gen_example_blocks(3, 0.7)[0])
+    return graphs
+
+
+def test_fast_reader_matches_token_loop_bit_for_bit(tmp_path, monkeypatch):
+    for idx, g in enumerate(_generated_graphs()):
+        path = str(tmp_path / f"g{idx}.tsv")
+        rc.write_edge_list(path, g)
+        fast, loop = _both_routes(monkeypatch, path)
+        assert fast == loop == ("ok", g.weights.tobytes())
+
+
+BASE_EDGES = "12 3\n0 1 0.5\n1 10 2.0\n2 3 1e-05\n"
+
+EDGE_CORPUS = [
+    # the malformed files of the tests above
+    "3\n", "x 2\n0 1 1\n1 2 1\n", "", "10000000000 0\n", "3 1\n1 0 1.0\n", "3 1\n0 3 1.0\n",
+    "3 1\n0 1 0.0\n", "3 1\n0 1 abc\n", "3 2\n0 1 1.0\n0 1 2.0\n", "3 2\n0 1 1.0\n",
+    "3 1\n0 1 1.0\n1 2 1.0\n",
+    # near-canonical spellings the loop accepts and faults it reports
+    BASE_EDGES.replace("0 1 0.5", "+0 1 0.5"),
+    BASE_EDGES.replace("0 1 0.5", "0 01 0.5"),
+    BASE_EDGES.replace("1 10 2.0", "1 1_0 2.0"),
+    BASE_EDGES.replace("2.0", "1_0.5"),
+    BASE_EDGES.replace("2.0", "1.5E3"),
+    BASE_EDGES.replace("2.0", "+2.0"),
+    BASE_EDGES.replace("2.0", "2"),
+    BASE_EDGES.replace(" ", "\t"),
+    BASE_EDGES.replace("\n", "\r\n"),
+    BASE_EDGES.replace("\n", "  \n"),
+    BASE_EDGES.replace("\n", " \t\n", 2),
+    BASE_EDGES.rstrip("\n"),
+    BASE_EDGES.replace("1e-05", "nan"),
+    BASE_EDGES.replace("1e-05", "inf"),
+    BASE_EDGES.replace("1e-05", "1e+999"),
+    BASE_EDGES.replace("1e-05", "1e-999"),  # canonical spelling that reads as 0.0
+    BASE_EDGES.replace("0.5", "-0.0"),
+    BASE_EDGES.replace("0.5", "0.0"),
+    BASE_EDGES.replace("2 3 1e-05", "0 1 0.5"),
+    BASE_EDGES.replace("2 3 1e-05", "1 10 3.0"),
+    BASE_EDGES.replace("1 10", "1 12"),
+    BASE_EDGES.replace("1 10", "1 99999999999999999999"),
+    BASE_EDGES.replace("2 3", "3 2"),
+    BASE_EDGES.replace("2 3", "3 3"),
+    BASE_EDGES.replace("0 1 0.5", "0 1 0.5 7"),
+    BASE_EDGES.replace("0 1 0.5", "0 1"),
+    BASE_EDGES.replace("0 1", "0 \u0661"),  # an Arabic-Indic digit, which int() reads
+    BASE_EDGES + "\n",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_CORPUS)
+def test_fast_reader_and_token_loop_agree_on_edge_corpus(tmp_path, monkeypatch, text):
+    path = tmp_path / "in.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    fast, loop = _both_routes(monkeypatch, str(path))
+    assert fast == loop
+
+
+def test_canonical_files_never_reach_the_token_loop(tmp_path, monkeypatch):
+    def loop(*args):
+        raise AssertionError("token loop reached on a canonical file")
+
+    monkeypatch.setattr(fileio, "_edge_lines", loop)
+    for idx, g in enumerate(_generated_graphs()):
+        path = str(tmp_path / f"g{idx}.tsv")
+        rc.write_edge_list(path, g)
+        assert np.array_equal(rc.read_edge_list(path).weights, g.weights)

@@ -10,9 +10,17 @@ Every Laplacian spectrum comes from ``eigen``: no module other than
 
 Every small threshold lives in ``Tolerances``: no module other than
 ``tolerances.py`` spells out a float literal with ``0 < |x| < 1e-3``.
+
+Every module-level regular expression compiles on Python 3.10, the oldest
+supported version: no possessive repeat (``*+``, ``++``, ``?+``, ``{m,n}+``)
+and no atomic group (``(?>...)``), which ``re`` accepts only from 3.11.
 """
 import ast
+import importlib
+import re
 from pathlib import Path
+
+import pytest
 
 import ratiocut as rc
 
@@ -98,3 +106,38 @@ def test_tolerance_rule_detects_small_literals(tmp_path):
         "    return x * 0.001 + 0.0 + 5 + 1e-3j\n"
     )
     assert _small_float_literals(bad) == ["bad.py:2: 1e-12", "bad.py:3: 0.00025"]
+
+
+def _post_310_regex_ops(pattern: str) -> list[str]:
+    """Opcodes of ``pattern`` that Python 3.10's ``re`` does not know."""
+    parser = pytest.importorskip("re._parser")  # 3.11+; on 3.10 such a pattern fails to compile
+    newer = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+    def ops(node):
+        if isinstance(node, parser.SubPattern):
+            for op, arg in node:
+                yield str(op)
+                yield from ops(arg)
+        elif isinstance(node, (tuple, list)):
+            for item in node:
+                yield from ops(item)
+
+    return [op for op in ops(parser.parse(pattern)) if op in newer]
+
+
+def test_module_regexes_compile_on_python_310():
+    # __main__ is skipped: importing it runs the command line
+    modules = [rc] + [importlib.import_module(f"ratiocut.{path.stem}")
+                      for path in sorted(PACKAGE.glob("*.py")) if not path.stem.startswith("__")]
+    patterns = [(f"{m.__name__}.{name}", value) for m in modules
+                for name, value in vars(m).items() if isinstance(value, re.Pattern)]
+    assert patterns  # the scan reaches the readers' patterns
+    found = [f"{name}: {op}" for name, p in patterns for op in _post_310_regex_ops(p.pattern)]
+    assert found == []
+
+
+def test_regex_rule_detects_possessive_repeats_and_atomic_groups():
+    assert _post_310_regex_ops(r"(?:[0-9]+ )*+x") == ["POSSESSIVE_REPEAT"]
+    assert _post_310_regex_ops(r"a++|b?+|c{2,3}+") == ["POSSESSIVE_REPEAT"] * 3
+    assert _post_310_regex_ops(r"(?>ab|a)c") == ["ATOMIC_GROUP"]
+    assert _post_310_regex_ops(r"[+*]\++(?:0|[1-9][0-9]{0,17}) [+-]?") == []
