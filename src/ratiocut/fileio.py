@@ -188,6 +188,11 @@ def read_partition(path: str) -> Partition:
             raise _fail(path, line_no, toks[0][1], "block labels must be >= 0")
         labels.append(lab)
     k = max(labels) + 1
+    if k > len(labels):  # a block is empty, and the label may not fit an integer array
+        line_no = labels.index(k - 1) + 1
+        col = _tokens(lines[line_no - 1])[0][1]
+        raise _fail(path, line_no, col, f"block label {k - 1} needs {k} blocks, "
+                    f"but {len(labels)} labels fill at most {len(labels)}")
     try:
         return Partition(np.array(labels), k)
     except InputError as exc:

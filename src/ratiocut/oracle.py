@@ -7,13 +7,22 @@ unlabeled blocks, walked once via restricted-growth strings, so the count
 is the Stirling number of the second kind and no relabeled duplicates are
 ever scored.
 
-The strings are generated in lexicographic order as ``int8`` arrays of at
-most ``_BLOCK_ROWS`` rows (Knuth, TAOCP Vol. 4A, §7.2.1.5): every prefix of
-length ``n - s`` is followed by a table of the suffixes of length ``s`` that
-its count of open blocks admits, built once per count. Each array is scored
-in one pass of numpy arithmetic, and only the rows whose value could change
-the best or the runner-up are rescored with ``graphs.ratio_cut``, so the
-result is the one the plain per-partition loop gives.
+Each string, in lexicographic order (Knuth, TAOCP Vol. 4A, §7.2.1.5), is a
+prefix of length ``p = n - s`` followed by one of the ``k ** s`` suffixes of
+length ``s`` that the prefix's count of open blocks admits, with ``s`` the
+largest value at most ``n // 2`` for which ``k ** s <= 1024``. A block's cut
+is then prefix-prefix weight, computed once per prefix, suffix-suffix
+weight, computed once per suffix, and prefix-suffix weight, which for all
+pairs of a chunk of prefixes and the suffixes is one small matrix product
+per block: the prefix side holds the weight from the block's prefix
+vertices and from the rest of the prefix to each suffix vertex, the suffix
+side the indicators of the block and of its complement. No term is
+negative, so each batch value is within a small relative error of what
+``graphs.ratio_cut`` computes. The values are filtered in units of at most
+2,048 consecutive strings; only the strings that could change the best or
+the runner-up get label rows, and they are rescored in one batch that
+repeats ``ratio_cut``'s arithmetic bit for bit, so the result is the one
+the plain per-partition loop gives.
 """
 
 from __future__ import annotations
@@ -24,14 +33,20 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InputError, SizeError
-from .graphs import Partition, WeightedGraph, ratio_cut
+from .graphs import Partition, WeightedGraph
 from .tolerances import DEFAULT as TOL
 
 MAX_ENUM_N = 14
 
-# rows per generated array; with the scoring temporaries of _ratio_cuts this
-# keeps the working set of a block well under a megabyte
-_BLOCK_ROWS = 2048
+# most suffixes, k ** s: the suffix side of the products stays small and in cache
+_TABLE_ROWS = 1024
+# strings per filter unit, whose second-smallest batch value sets the reach:
+# every string of a unit is rescored when all of them tie
+_UNIT_ROWS = 2048
+# prefix x suffix pairs scored per chunk of prefixes: the three chunk buffers
+# (64 kB each) stay in cache; four times as many took a third less time at
+# n = 14, k = 4 but raised its peak memory by about half a megabyte
+_CHUNK_ROWS = 8192
 
 
 def _check_size(n: int, k: int) -> None:
@@ -39,6 +54,14 @@ def _check_size(n: int, k: int) -> None:
         raise SizeError(f"enumeration is capped at n <= {MAX_ENUM_N}, got {n}")
     if not 1 <= k <= n:
         raise InputError(f"k must be in [1, {n}], got {k}")
+
+
+def _split(n: int, k: int) -> int:
+    """Suffix length: the largest ``s <= n // 2`` with ``k ** s <= _TABLE_ROWS``."""
+    s = 0
+    while s < n // 2 and k ** (s + 1) <= _TABLE_ROWS:
+        s += 1
+    return s
 
 
 def _grow(rows: np.ndarray, used: np.ndarray, start: int, steps: int, n: int, k: int):
@@ -59,38 +82,34 @@ def _grow(rows: np.ndarray, used: np.ndarray, start: int, steps: int, n: int, k:
     return rows, used
 
 
-def _rgs_blocks(n: int, k: int) -> Iterator[np.ndarray]:
-    """Yield the restricted-growth strings of n labels and exactly k blocks.
+class _Strings:
+    """The restricted-growth strings of n labels and exactly k blocks, as prefix x suffix.
 
-    In lexicographic order, as ``(rows, n)`` ``int8`` arrays of
-    ``_BLOCK_ROWS`` rows (the last one may be shorter).
+    ``prefixes`` holds the first ``p = n - s`` labels in lexicographic order
+    and ``used`` each prefix's count of open blocks. ``suffixes`` holds all
+    ``k ** s`` strings of ``s`` labels in ``[0, k)``, in lexicographic order,
+    and ``admits[m, t]`` says whether suffix t continues a prefix with m open
+    blocks to a string of exactly k blocks (never for m = 0, which pads).
+    The strings in lexicographic order are the admitted pairs ``(i, t)`` of
+    prefix i and suffix t in the order ``(0, 0), (0, 1), ..., (1, 0), ...``.
     """
-    # longest suffix whose table (at most k**s rows) fits in one block
-    s = 0
-    while s < n - 1 and k ** (s + 1) <= _BLOCK_ROWS:
-        s += 1
-    p = n - s
-    prefixes, used = _grow(np.zeros((1, 1), dtype=np.int8), np.ones(1, dtype=int), 1, p - 1, n, k)
-    empty = np.zeros((1, 0), dtype=np.int8)
-    tables = {m: _grow(empty, np.array([m]), p, s, n, k)[0] for m in np.unique(used).tolist()}
 
-    buf = np.empty((_BLOCK_ROWS, n), dtype=np.int8)
-    fill = 0
-    for prefix, m in zip(prefixes, used.tolist()):
-        table = tables[m]
-        done = 0
-        while done < len(table):
-            take = min(_BLOCK_ROWS - fill, len(table) - done)
-            buf[fill : fill + take, :p] = prefix
-            buf[fill : fill + take, p:] = table[done : done + take]
-            fill += take
-            done += take
-            if fill == _BLOCK_ROWS:
-                yield buf
-                buf = np.empty((_BLOCK_ROWS, n), dtype=np.int8)
-                fill = 0
-    if fill:
-        yield buf[:fill]
+    def __init__(self, n: int, k: int, s: int):
+        self.k = k
+        self.p = p = n - s
+        self.prefixes, self.used = _grow(
+            np.zeros((1, 1), dtype=np.int8), np.ones(1, dtype=np.int8), 1, p - 1, n, k)
+        self.suffixes = _grow(np.zeros((1, 0), dtype=np.int8), np.array([k], dtype=np.int8), p, s, n, k)[0]
+        opened = np.arange(k + 1)[:, None]
+        admits = opened > 0
+        for label in self.suffixes.T:
+            admits = admits & (label <= opened)
+            opened = opened + (label == opened)
+        self.admits = admits & (opened == k)
+
+    def labels(self, prefix: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+        """Label rows of the strings ``(prefix[f], suffix[f])``, as ``int8``."""
+        return np.concatenate([self.prefixes[prefix], self.suffixes[suffix]], axis=1)
 
 
 def enumerate_partitions(n: int, k: int) -> Iterator[Partition]:
@@ -103,22 +122,101 @@ def enumerate_partitions(n: int, k: int) -> Iterator[Partition]:
     any partition is generated.
     """
     _check_size(n, k)
-    return (Partition(row, k) for rows in _rgs_blocks(n, k) for row in rows)
+    st = _Strings(n, k, _split(n, k))
+    return (Partition(np.concatenate([prefix, suffix]), k)
+            for prefix, m in zip(st.prefixes, st.used.tolist())
+            for suffix in st.suffixes[st.admits[m]])
 
 
-def _ratio_cuts(w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Ratio cut of every row of ``labels``, from sums of nonnegative terms only.
+def _indicators(labels: np.ndarray, k: int) -> np.ndarray:
+    """``(k, rows, len)`` floats: entry ``[j, r, i]`` is 1 where ``labels[r, i] == j``."""
+    return (labels == np.arange(k, dtype=labels.dtype)[:, None, None]).astype(float)
 
-    Block j's cut is ``sum_i h_i (W (1 - h))_i`` with ``h`` its indicator, so
-    no difference cancels: each value is within a small relative error of
-    what ``ratio_cut`` computes for the same partition, even when both are 0.
+
+def _batch_ratio_cuts(w: np.ndarray, st: _Strings, group: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Ratio cut estimates of every string, from sums of nonnegative terms only.
+
+    Yields ``(first, values)`` per chunk of prefixes: ``values[i, t]``
+    estimates the ratio cut of string ``(first + i, t)``, and is ``inf``
+    where the pair is not admitted. A chunk's row count is a multiple of
+    ``group``; the last one is padded. Block j's cut is the weight from its
+    prefix vertices to the rest of the prefix (``PP``), the same within the
+    suffix (``SS``), and between the two; for one prefix and one suffix that
+    is the product ``[A, B, PP, 1] . [1 - h, h, 1, SS]`` of a prefix-side
+    row and a suffix-side column, where ``A`` and ``B`` hold the weight
+    from the block's prefix vertices and from the other prefix vertices to
+    each suffix vertex, and ``h`` is the suffix's indicator of the block.
     """
-    total = np.zeros(labels.shape[0])
+    k, p = st.k, st.p
+    s = st.suffixes.shape[1]
+    w_pp, w_ps, w_ss = w[:p, :p], w[:p, p:], w[p:, p:]
+    right = np.empty((k, 2 * s + 2, len(st.suffixes)))
+    h = right[:, s : 2 * s]
+    h[...] = _indicators(st.suffixes.T, k)
+    np.subtract(1.0, h, out=right[:, :s])
+    right[:, 2 * s] = 1.0
+    right[:, 2 * s + 1] = np.einsum("jit,jit->jt", h, w_ss @ right[:, :s])
+    right_size = h.sum(axis=1)
+    chunk = group * max(1, _CHUNK_ROWS // (group * len(st.suffixes)))
+    # one set of chunk buffers for the whole scan, so no chunk allocates anew
+    values = np.empty((min(chunk, -(-len(st.prefixes) // group) * group), len(st.suffixes)))
+    cut = np.empty_like(values)
+    size = np.empty_like(values)
+    for first in range(0, len(st.prefixes), chunk):
+        h = _indicators(st.prefixes[first : first + chunk], k)
+        rest = 1.0 - h
+        pp = np.einsum("jxi,jxi->jx", h, rest @ w_pp)
+        one = np.ones(h.shape[:2] + (1,))
+        left = np.concatenate([h @ w_ps, rest @ w_ps, pp[..., None], one], axis=2)
+        left_size = h.sum(axis=2)
+        x = h.shape[1]
+        values[x:] = np.inf
+        total = values[:x]
+        total[...] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):  # a block left empty: not admitted
+            for j in range(k):
+                np.matmul(left[j], right[j], out=cut[:x])
+                np.add(left_size[j, :, None], right_size[j], out=size[:x])
+                cut[:x] /= size[:x]
+                total += cut[:x]
+        np.copyto(total, np.inf, where=~st.admits[st.used[first : first + chunk]])
+        yield first, values[: -(-x // group) * group]
+
+
+def _exact_ratio_cuts(w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """``graphs.ratio_cut`` of every row of ``labels``, bit for bit.
+
+    Each block's cut sums the same ``(size, n - size)`` submatrix, members
+    and non-members ascending, in the same order as ``ratio_cut``, for all
+    rows that share the block's size at once; the quotients are added block
+    by block from 0.0, as there.
+    """
+    total = np.zeros(len(labels))
     for j in range(k):
-        h = (labels == j).astype(float)
-        outside = (1.0 - h) @ w  # weight from each vertex to the vertices outside block j
-        total += np.einsum("bi,bi->b", h, outside) / h.sum(axis=1)
+        inside = labels == j
+        size = inside.sum(axis=1)
+        order = np.argsort(~inside, axis=1, kind="stable")  # members first, both sides ascending
+        cut = np.empty(len(labels))
+        for a in np.unique(size).tolist():
+            rows = np.flatnonzero(size == a)
+            idx = order[rows]
+            cut[rows] = w[idx[:, :a, None], idx[:, None, a:]].reshape(len(rows), -1).sum(axis=1)
+        total += cut / size
     return total
+
+
+def _batch_rel(n: int) -> float:
+    """Relative distance within which a batch value and ``ratio_cut`` agree, doubled.
+
+    With ``s <= n // 2``, a weight passes at most 2n - 1 additions on its way
+    into a block's cut in ``_batch_ratio_cuts``: 2p - 2 for PP (2s - 2 for
+    SS, p - 1 for A and B) and 2s + 1 in the product. With the division and
+    the k - 1 additions over the blocks, a batch value rounds at most
+    2n + k times; ``ratio_cut`` rounds at most n * n / 4 + k + 1 times. All
+    terms are nonnegative and each rounding is by at most eps / 2, so for
+    k <= n this covers both twice over.
+    """
+    return (n * n + 4 * n) * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -155,50 +253,58 @@ def min_ratio_cut_bruteforce(g: WeightedGraph, k: int) -> OracleResult:
     reported value and runner-up are exactly what ``ratio_cut`` computes on
     the partitions they come from.
 
-    Each array of strings is scored in one batch; a row is rescored with
-    ``ratio_cut`` and passed to the update only if its batch value could
-    make it the best or the runner-up. With ``slack = inequality_slack *
-    max(1, sum of degrees)`` bounding the batch error, a row is skipped when
-    its batch value exceeds the runner-up so far by more than ``slack``, or
-    the array's second smallest batch value by more than ``2 * slack``: its
-    ratio cut then lies above the final runner-up. Once a runner-up exists,
-    a row is also skipped when the relative error of its batch value (sums
-    of nonnegative terms on both sides) rules out a ratio cut strictly below
+    The strings are scored in batches and filtered in units of at most
+    ``_UNIT_ROWS`` consecutive strings; a string is rescored exactly and
+    passed to the update only if its batch value could make it the best or
+    the runner-up. With ``slack = inequality_slack * max(1, sum of
+    degrees)`` bounding the batch error, a string is skipped when its batch
+    value exceeds the runner-up so far by more than ``slack``, or its unit's
+    second smallest batch value by more than ``2 * slack``: its ratio cut
+    then lies above the final runner-up. Once a runner-up exists, a string
+    is also skipped when the relative error of its batch value (sums of
+    nonnegative terms on both sides) rules out a ratio cut strictly below
     the runner-up, since the update would then leave everything as it is.
     """
     _check_size(g.n, k)
     slack = TOL.inequality_slack * max(1.0, float(g.degrees().sum()))
-    # _ratio_cuts rounds at most 2n + k times per value and ratio_cut at most
-    # n * n / 4 + k + 1 times, each by eps / 2; this covers both twice over
-    rel = (g.n * g.n + 4 * g.n) * float(np.finfo(float).eps)
-    best_p = None
+    rel = _batch_rel(g.n)
+    st = _Strings(g.n, k, _split(g.n, k))
+    width = len(st.suffixes)
+    group = _UNIT_ROWS // width  # prefixes per unit; at least 2, since width <= _TABLE_ROWS
+    best = None
     best_v = np.inf
     second_v = np.inf
-    examined = 0
-    for rows in _rgs_blocks(g.n, k):
-        examined += len(rows)
-        approx = _ratio_cuts(g.weights, rows, k)
-        reach = second_v
-        if len(rows) > 1:
-            reach = min(reach, float(np.partition(approx, 1)[1]) + slack)
-        keep = approx <= reach + slack
-        if np.isfinite(second_v):
-            keep &= approx < second_v * (1.0 + rel)
-        for row in rows[keep]:
-            p = Partition(row, k)
-            v = ratio_cut(g, p)
-            if v < best_v:
-                second_v = best_v
-                best_v = v
-                best_p = p
-            elif v < second_v:
-                second_v = v
+    for first, values in _batch_ratio_cuts(g.weights, st, group):
+        units = values.reshape(-1, group * width)
+        bound = second_v * (1.0 + rel) if np.isfinite(second_v) else np.inf
+        for u in np.flatnonzero(units.min(axis=1) <= bound).tolist():
+            unit = units[u]
+            lead = first + u * group  # the unit's first prefix
+            reach = min(second_v, float(np.partition(unit, 1)[1]) + slack)
+            keep = unit <= reach + slack
+            if np.isfinite(second_v):
+                keep &= unit < second_v * (1.0 + rel)
+            admitted = st.admits[st.used[lead : lead + group]].ravel()  # shorter in a padded unit
+            keep[admitted.size :] = False
+            keep[: admitted.size] &= admitted
+            pos = np.flatnonzero(keep)
+            if pos.size == 0:
+                continue
+            labels = st.labels(lead + pos // width, pos % width)
+            exact = _exact_ratio_cuts(g.weights, labels, k)
+            i = int(np.argmin(exact))  # the first of equal minima, as in enumeration order
+            if exact[i] < best_v:
+                best = labels[i]
+            low = np.partition(np.append(exact, (best_v, second_v)), 1)
+            best_v, second_v = float(low[0]), float(low[1])
+    if best is None:
+        raise InputError("every ratio cut overflows to inf; rescale the weights")
     unique = second_v > best_v + TOL.inequality_slack
-    runner_up = None if np.isinf(second_v) else float(second_v)
+    runner_up = None if np.isinf(second_v) else second_v
     return OracleResult(
-        best=best_p,
-        value=float(best_v),
+        best=Partition(best, k),
+        value=best_v,
         unique=unique,
-        partitions_examined=examined,
+        partitions_examined=int(st.admits.sum(axis=1)[st.used].sum()),
         runner_up=runner_up,
     )

@@ -72,11 +72,30 @@ def test_certified_partition_is_global_optimum(report):
         and rc.same_partition(oracle3.best, planted3)
         and oracle3.value == rc.ratio_cut(g3, oracle3.best)
         and abs(oracle3.value - rc.ratio_cut(g3, planted3)) <= 1e-9
-        and elapsed3 < 10.0
+        and elapsed3 < 2.0
     )
-    report("certificate-implies-global-optimum", ok and ok3,
+    # four blocks at the cap: 10,391,745 partitions
+    start = time.perf_counter()
+    g4, planted4 = rc.gen_planted_blocks([3, 3, 4, 4], 1.0, 0.2)
+    cert4 = rc.certificate(g4, planted4)
+    oracle4 = rc.min_ratio_cut_bruteforce(g4, 4)
+    elapsed4 = time.perf_counter() - start
+
+    ok4 = (
+        cert4.passes
+        and cert4.strict
+        and abs(cert4.ratio_r - 0.2 / 3) <= 1e-9
+        and oracle4.partitions_examined == 10391745
+        and oracle4.unique
+        and rc.same_partition(oracle4.best, planted4)
+        and oracle4.value == rc.ratio_cut(g4, oracle4.best)
+        and abs(oracle4.value - rc.ratio_cut(g4, planted4)) <= 1e-9
+        and elapsed4 < 5.0
+    )
+    report("certificate-implies-global-optimum", ok and ok3 and ok4,
            f"ratio {cert.ratio_r:.3f}, {oracle.partitions_examined} partitions, {elapsed:.2f}s; "
-           f"ratio {cert3.ratio_r:.3f}, {oracle3.partitions_examined} partitions, {elapsed3:.2f}s")
+           f"ratio {cert3.ratio_r:.3f}, {oracle3.partitions_examined} partitions, {elapsed3:.2f}s; "
+           f"ratio {cert4.ratio_r:.3f}, {oracle4.partitions_examined} partitions, {elapsed4:.2f}s")
 
 
 def test_failed_certificate_example_has_better_cut(report):

@@ -166,6 +166,20 @@ def test_partition_graph_size_mismatch_exits_2(tmp_path, capsys):
     assert "labels" in capsys.readouterr().err
 
 
+def test_partition_label_too_large_exits_2_with_position(tmp_path, capsys):
+    g_path = tmp_path / "g.tsv"
+    g_path.write_text("3 2\n0 1 1.0\n1 2 1.0\n")
+    p_path = tmp_path / "p.txt"
+    for label in ("99999999999999999999", "9223372036854775808", "3"):
+        p_path.write_text(f"0\n {label}\n0\n")
+        code = run(["certify", "--input", g_path, "--partition", p_path,
+                    "--output", tmp_path / "c.json"])
+        assert code == 2, label
+        err = capsys.readouterr().err
+        assert f"p.txt:2:2: block label {label} " in err, err
+        assert not (tmp_path / "c.json").exists()
+
+
 def test_gen_missing_params_exits_2(tmp_path):
     code = run(["gen", "example-blocks", "--output", tmp_path / "g.tsv",
                 "--partition", tmp_path / "p.txt"])

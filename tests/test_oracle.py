@@ -1,11 +1,17 @@
+import json
+import math
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ratiocut as rc
+from ratiocut import oracle
 from ratiocut.errors import InputError, SizeError
+
+SWEEP = Path(__file__).parent / "data" / "oracle_sweep.json"
 
 
 def stirling2(n, k):
@@ -43,6 +49,19 @@ def reference_minimum(g, k):
     ordered = sorted(values)
     runner_up = ordered[1] if len(ordered) > 1 else None
     return tuple(partitions[first].labels), values[first], runner_up, len(values)
+
+
+def loop_minimum(g, k):
+    """The plain per-partition loop: ratio_cut of every enumerated partition, in order."""
+    best, best_v, second_v, count = None, math.inf, math.inf, 0
+    for p in rc.enumerate_partitions(g.n, k):
+        v = rc.ratio_cut(g, p)
+        count += 1
+        if v < best_v:
+            best, best_v, second_v = p, v, best_v
+        elif v < second_v:
+            second_v = v
+    return tuple(best.labels), best_v, None if math.isinf(second_v) else second_v, count
 
 
 def equivalence_graphs(n):
@@ -178,6 +197,12 @@ def test_bruteforce_size_guard():
         rc.min_ratio_cut_bruteforce(g, 2)
 
 
+def test_bruteforce_rejects_weights_whose_cuts_overflow():
+    w = np.full((4, 4), 8e307)  # finite, but every cut sums two or more of them
+    with pytest.raises(InputError, match="overflows"), np.errstate(over="ignore"):
+        rc.min_ratio_cut_bruteforce(rc.WeightedGraph(w), 2)
+
+
 def test_oracle_result_serializes():
     g, _ = rc.gen_example_blocks(1, 0.5)
     res = rc.min_ratio_cut_bruteforce(g, 2)
@@ -186,19 +211,129 @@ def test_oracle_result_serializes():
     assert '"partitions_examined": 7' in text
 
 
+def check_against(res, g, labels, value, runner_up, count, case):
+    assert tuple(res.best.labels) == labels, case
+    assert res.value == rc.ratio_cut(g, res.best) == value, case
+    assert res.runner_up == runner_up, case
+    assert res.unique == (runner_up is None or runner_up > value + 1e-9), case
+    assert res.partitions_examined == count, case
+
+
 def test_bruteforce_matches_filtering_route_exactly():
     for n in range(1, 10):
         for name, w in equivalence_graphs(n).items():
             g = rc.WeightedGraph(w)
             for k in range(1, min(n, 4) + 1):
-                labels, value, runner_up, count = reference_minimum(g, k)
                 res = rc.min_ratio_cut_bruteforce(g, k)
-                case = (n, k, name)
-                assert tuple(res.best.labels) == labels, case
-                assert res.value == rc.ratio_cut(g, res.best) == value, case
-                assert res.runner_up == runner_up, case
-                assert res.unique == (runner_up is None or runner_up > value + 1e-9), case
-                assert res.partitions_examined == count, case
+                check_against(res, g, *reference_minimum(g, k), (n, k, name))
+    # spot checks beyond the filtering route's reach, against the plain loop
+    for n, k, name in [(10, 3, "weighted"), (10, 3, "zero"), (11, 2, "binary"),
+                       (12, 2, "weighted"), (12, 2, "complete")]:
+        g = rc.WeightedGraph(equivalence_graphs(n)[name])
+        res = rc.min_ratio_cut_bruteforce(g, k)
+        check_against(res, g, *loop_minimum(g, k), (n, k, name))
+
+
+def sweep_graphs():
+    """The graphs of the committed sweep, in the order of ``tests/data/oracle_sweep.json``."""
+    rng = np.random.default_rng(2024)
+    for n in range(2, 13):
+        upper = np.triu(np.ones((n, n)), 1)
+        kinds = {
+            "weighted": rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6),
+            "binary": (rng.random((n, n)) < 0.5).astype(float),
+            "wide": np.exp(rng.uniform(math.log(1e-6), math.log(1e6), (n, n))),
+            "integer": rng.integers(0, 3, (n, n)).astype(float),  # many exact ties
+            "complete": np.ones((n, n)),  # every partition ties
+            "empty": np.zeros((n, n)),
+        }
+        for name, w in kinds.items():
+            w = w * upper
+            for k in range(1, min(n, 5) + 1):
+                # all-ties graphs rescore every partition: keep them to the cheap cases
+                if name in ("complete", "empty") and n > 10 and (n, k) != (12, 3):
+                    continue
+                yield n, k, name, rc.WeightedGraph(w + w.T)
+
+
+def test_bruteforce_matches_recorded_sweep():
+    # The expected results were recorded with the implementation that
+    # rescored every finalist with ratio_cut, one partition at a time, from
+    # 2,048-row arrays of full label rows (commit f19936e); values are JSON
+    # floats, which round-trip exactly.
+    recorded = json.loads(SWEEP.read_text())
+    cases = list(sweep_graphs())
+    assert len(cases) == len(recorded)
+    for (n, k, name, g), want in zip(cases, recorded):
+        res = rc.min_ratio_cut_bruteforce(g, k)
+        got = {"n": n, "k": k, "graph": name, "best": res.best.labels.tolist(), "value": res.value,
+               "unique": res.unique, "runner_up": res.runner_up,
+               "partitions_examined": res.partitions_examined}
+        assert got == want, (n, k, name)
+
+
+def test_batch_values_within_rel_of_ratio_cut_at_every_split():
+    rng = np.random.default_rng(21)
+    for n, k in [(7, 2), (7, 3), (8, 4)]:
+        wide = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), (n, n)))
+        w = np.triu(wide * (rng.random((n, n)) < 0.7), 1)
+        g = rc.WeightedGraph(w + w.T)
+        rel = oracle._batch_rel(n)
+        for s in range(n):
+            st = oracle._Strings(n, k, s)
+            seen = []
+            for first, values in oracle._batch_ratio_cuts(g.weights, st, 1):
+                admitted = st.admits[st.used[first : first + len(values)]]
+                assert np.all(np.isinf(values[~admitted])), (n, k, s)
+                prefix, suffix = np.nonzero(admitted)
+                labels = st.labels(first + prefix, suffix)
+                batch = values[prefix, suffix]
+                exact = np.array([rc.ratio_cut(g, rc.Partition(row, k)) for row in labels])
+                assert np.all(np.abs(batch - exact) <= rel * exact), (n, k, s)
+                seen += map(tuple, labels.tolist())
+            # every string exactly once, in enumeration order
+            assert seen == [tuple(p.labels.tolist()) for p in rc.enumerate_partitions(n, k)], (n, k, s)
+
+
+def test_exact_batch_rescoring_is_bit_identical_to_ratio_cut():
+    rng = np.random.default_rng(8)
+    for trial in range(120):
+        n = int(rng.integers(1, 15))
+        k = int(rng.integers(1, min(n, 5) + 1))
+        scale = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), (n, n)))
+        w = np.triu(scale * (rng.random((n, n)) < rng.uniform(0.2, 1.0)), 1)
+        g = rc.WeightedGraph(w + w.T)
+        labels = rng.integers(0, k, (60, n))
+        labels[:, :k] = np.arange(k)  # no block empty
+        labels = labels.astype(np.int8)
+        batch = oracle._exact_ratio_cuts(g.weights, labels, k)
+        exact = [rc.ratio_cut(g, rc.Partition(row, k)) for row in labels]
+        assert batch.tolist() == exact, (trial, n, k)
+
+
+def test_tie_across_filter_units_keeps_the_earlier_partition():
+    # vertices 1 and 13 are twins between two cores, so splitting them ties
+    # exactly (integer weights); the tied strings are 4,095 apart in
+    # enumeration order, so no filter unit of at most 2,048 strings holds both
+    n = 14
+    cores = ([0, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12])
+    w = np.zeros((n, n))
+    for core in cores:
+        w[np.ix_(core, core)] = 3.0
+        w[np.ix_([1, 13], core)] = w[np.ix_(core, [1, 13])] = 1.0
+    np.fill_diagonal(w, 0.0)
+    g = rc.WeightedGraph(w)
+    earlier = [0] * 7 + [1] * 7
+    later = [0, 1] + [0] * 5 + [1] * 6 + [0]
+    index = {tuple(p.labels.tolist()): i for i, p in enumerate(rc.enumerate_partitions(n, 2))}
+    assert index[tuple(later)] - index[tuple(earlier)] > oracle._UNIT_ROWS
+    value = rc.ratio_cut(g, rc.Partition(earlier, 2))
+    assert rc.ratio_cut(g, rc.Partition(later, 2)) == value
+    res = rc.min_ratio_cut_bruteforce(g, 2)
+    assert res.best.labels.tolist() == earlier
+    assert res.value == res.runner_up == value
+    assert not res.unique
+    check_against(res, g, *loop_minimum(g, 2), "twins")
 
 
 def test_bruteforce_all_ties_across_many_blocks():
@@ -211,3 +346,4 @@ def test_bruteforce_all_ties_across_many_blocks():
     assert res.runner_up == 0.0
     assert not res.unique
     assert res.partitions_examined == stirling2(12, 3)
+
