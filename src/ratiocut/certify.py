@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import lambda2
+from .eigen import block_lambda2s, lambda2
 from .errors import SingletonBlockWarning
-from .graphs import Partition, WeightedGraph, cut_weight, induced_subgraph
+from .graphs import Partition, WeightedGraph, cut_weight
 from .tolerances import DEFAULT as TOL
 
 
@@ -35,18 +35,14 @@ def boundary_degrees(g: WeightedGraph, p: Partition) -> np.ndarray:
 def intra_connectivities(g: WeightedGraph, p: Partition) -> np.ndarray:
     """Algebraic connectivity of each induced block subgraph.
 
-    Singleton blocks have no internal structure to disconnect, so they
-    contribute ``+inf`` (with a warning since the certificate becomes
-    vacuous on that side).
+    The values come from ``eigen.block_lambda2s``, one checked solve per
+    block of two or more vertices, equal bit for bit to ``lambda2`` of the
+    induced subgraph. Singleton blocks have no internal structure to
+    disconnect, so they contribute ``+inf`` (with a warning since the
+    certificate becomes vacuous on that side).
     """
-    out = np.empty(p.k)
-    singletons = []
-    for j, members in enumerate(p.blocks()):
-        if len(members) == 1:
-            out[j] = math.inf
-            singletons.append(j)
-        else:
-            out[j] = lambda2(induced_subgraph(g, members))
+    out = block_lambda2s(g, p)
+    singletons = np.flatnonzero(p.sizes() == 1).tolist()
     if singletons:
         warnings.warn(
             f"singleton blocks {singletons} contribute infinite connectivity",

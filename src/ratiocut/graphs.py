@@ -25,7 +25,9 @@ class WeightedGraph:
     weights : (n, n) array_like
         Edge weights. Must be square and symmetric up to ``1e-10``; the
         diagonal is forced to zero on construction (self-loops never
-        contribute to the Laplacian) and the matrix is exactly symmetrized.
+        contribute to the Laplacian). An exactly symmetric matrix is stored
+        bit for bit; otherwise each pair of entries that differs is replaced
+        by its average, so the stored matrix is exactly symmetric.
 
     Raises
     ------
@@ -41,9 +43,15 @@ class WeightedGraph:
             raise InputError(f"weights must be a square matrix, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise InputError("weights must be finite")
-        if np.max(np.abs(w - w.T), initial=0.0) > TOL.symmetry:
-            raise InputError("weight matrix is not symmetric")
-        w = 0.5 * (w + w.T)
+        bits = w.view(np.int64)  # compared as bits, so -0.0 against 0.0 is averaged too
+        if not np.array_equal(bits, bits.T):
+            with np.errstate(over="ignore"):  # an infinite gap fails the check
+                gap = np.max(np.abs(w - w.T))
+            if gap > TOL.symmetry:
+                raise InputError("weight matrix is not symmetric")
+            # unequal entries within the tolerance lie below 2**19, so no sum overflows
+            i, j = np.nonzero(bits != bits.T)
+            w[i, j] = 0.5 * (w[i, j] + w[j, i])
         np.fill_diagonal(w, 0.0)
         if np.any(w < 0):
             raise InputError("edge weights must be nonnegative")

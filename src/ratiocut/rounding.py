@@ -21,6 +21,7 @@ from .graphs import Partition, WeightedGraph, is_connected, ratio_cut
 from .tolerances import DEFAULT as TOL
 
 MAX_LLOYD_ITERATIONS = 200
+LLOYD_BATCH_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -89,50 +90,124 @@ def _farthest_first(points: np.ndarray, k: int) -> np.ndarray:
     return points[chosen].copy()
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Lloyd iterations from the given centroids until the assignment is
-    stable or the iteration cap is hit; returns (labels, cost, iterations)."""
-    n = points.shape[0]
-    k = centroids.shape[0]
-    labels = np.full(n, -1)
-    prev_cost = math.inf
-    iterations = 0
-    for _ in range(MAX_LLOYD_ITERATIONS):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        dist = d2[np.arange(n), new_labels]
-        cost = float(dist.sum())
-        if not cost <= prev_cost + TOL.inequality_slack:  # a NaN cost fails too
-            raise SolverError(
-                f"k-means cost went from {prev_cost:.12g} to {cost:.12g}; a Lloyd step cannot raise it"
+def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd iterations for every restart at once, from centroids of shape (r, k, d).
+
+    Each pass assigns, checks the cost and moves the centroids of all
+    restarts still running; a restart stops once its assignment is stable or
+    the iteration cap is hit. Returns labels (r, n), costs (r,) and
+    iterations (r,). Each restart's arithmetic is that of running it alone,
+    ``argmin`` of ``((x - c) ** 2).sum()`` and ``mean`` of the members:
+    ``_sq_dists`` keeps the coordinate sum's order, and a centroid is its
+    members' sum in index order over their count. A single column is the
+    exception: ``mean`` sums it pairwise, so those centroids come from
+    ``mean`` itself.
+    """
+    n, d = points.shape
+    r, k, _ = centroids.shape
+    w = d + 1
+    # each restart's rows of [points, 1], whose last column counts members
+    ext = np.tile(np.hstack([points, np.ones((n, 1))]), (r, 1)).ravel()
+    offsets = (w * k * np.arange(r))[:, None, None] + np.arange(w)
+    out_labels = np.empty((r, n), dtype=np.intp)
+    out_centroids = np.empty_like(centroids)
+    iterations = np.full(r, MAX_LLOYD_ITERATIONS)
+    active = np.arange(r)
+    labels = np.full((r, n), -1)
+    prev = np.full(r, math.inf)
+    failure = None
+    for it in range(MAX_LLOYD_ITERATIONS):
+        d2 = _sq_dists(points, centroids)
+        new_labels = d2.argmin(axis=1)
+        dist = np.minimum.reduce(d2, axis=1)  # the argmin's entry, NaN where it is NaN
+        cost = dist.sum(axis=1)
+        ok = cost <= prev + TOL.inequality_slack  # a NaN cost fails too
+        if not ok.all():
+            # the result is this error unless an earlier restart fails later,
+            # so the restarts after it are dropped
+            f = int(np.argmin(ok))
+            failure = SolverError(
+                f"k-means cost went from {float(prev[f]):.12g} to {float(cost[f]):.12g}; "
+                "a Lloyd step cannot raise it"
             )
-        prev_cost = cost
-        # re-seed each empty cluster at the point farthest from its centroid
-        # among clusters that keep another member; the moved point becomes a
-        # singleton, so it is never picked twice and no donor is emptied
-        for j in np.flatnonzero(np.bincount(new_labels, minlength=k) == 0):
-            counts = np.bincount(new_labels, minlength=k)
-            far = int(np.argmax(np.where(counts[new_labels] >= 2, dist, -1.0)))
-            centroids[j] = points[far]
-            new_labels[far] = j
-        if np.array_equal(new_labels, labels):
-            break
+            if f == 0:
+                break
+            active, centroids, labels, new_labels, dist, cost = (
+                x[:f] for x in (active, centroids, labels, new_labels, dist, cost))
+        prev = cost
+        a = active.size
+        sums = _block_sums(ext, new_labels, offsets[:a], k)
+        empty = sums[:, :, d] == 0
+        if empty.any():
+            for i in np.flatnonzero(empty.any(axis=1)):
+                _reseed_empty(points, centroids[i], new_labels[i], dist[i], np.flatnonzero(empty[i]))
+            sums = _block_sums(ext, new_labels, offsets[:a], k)
+        stable = (new_labels == labels).all(axis=1)
+        if stable.any():
+            done = active[stable]
+            out_labels[done] = new_labels[stable]
+            out_centroids[done] = centroids[stable]
+            iterations[done] = it
+            keep = ~stable
+            active, centroids, new_labels, sums, prev = (
+                x[keep] for x in (active, centroids, new_labels, sums, prev))
+            if active.size == 0:
+                break
         labels = new_labels
-        iterations += 1
-        for j in range(k):
-            centroids[j] = points[labels == j].mean(axis=0)
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    cost = float(d2[np.arange(n), labels].sum())
-    return labels, cost, iterations
+        if d == 1:
+            centroids = np.array([[points[row == j].mean(axis=0) for j in range(k)] for row in labels])
+        else:
+            centroids = sums[:, :, :d] / sums[:, :, d:]
+    else:
+        out_labels[active] = labels
+        out_centroids[active] = centroids
+    if failure is not None:
+        raise failure
+    d2 = _sq_dists(points, out_centroids)
+    costs = np.take_along_axis(d2, out_labels[:, None, :], axis=1)[:, 0, :].sum(axis=1)
+    return out_labels, costs, iterations
+
+
+def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances of every point to every centroid of every restart,
+    shape (r, k, n). numpy sums fewer than 8 terms left to right, as the
+    reduction over the leading coordinate axis here does; from 8 on it sums
+    pairwise, so those are reduced along the last axis as for one point."""
+    if points.shape[1] < 8:
+        diff = np.ascontiguousarray(points.T)[:, None, None, :] - centroids.transpose(2, 0, 1)[:, :, :, None]
+        return np.add.reduce(np.square(diff, out=diff), axis=0)
+    return np.square(points[:, None, :] - centroids[:, None, :, :]).sum(axis=-1).transpose(0, 2, 1)
+
+
+def _block_sums(ext: np.ndarray, labels: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
+    """Column sums of each cluster's member rows of ``ext``, added in index
+    order, shape (r, k, w); ``offsets[r, 0, c]`` is ``r * k * w + c``."""
+    r, _, w = offsets.shape
+    bins = (labels * w)[:, :, None] + offsets
+    return np.bincount(bins.ravel(), weights=ext[: bins.size], minlength=r * k * w).reshape(r, k, w)
+
+
+def _reseed_empty(points, centroids, labels, dist, empty) -> None:
+    """Re-seed each empty cluster at the point farthest from its centroid
+    among clusters that keep another member; the moved point becomes a
+    singleton, so it is never picked twice and no donor is emptied."""
+    k = centroids.shape[0]
+    for j in empty:
+        counts = np.bincount(labels, minlength=k)
+        far = int(np.argmax(np.where(counts[labels] >= 2, dist, -1.0)))
+        centroids[j] = points[far]
+        labels[far] = j
 
 
 def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingResult:
     """Lloyd k-means over the given points, best of several initializations.
 
     Restart 0 uses the deterministic farthest-first seeding; the rest draw
-    k distinct points with a seeded generator. The lowest-cost restart wins
-    (lowest restart index on ties), so results are reproducible for a fixed
-    (seed, restarts) pair.
+    k distinct points with a seeded generator. All restarts advance together
+    in one batched Lloyd pass, with the same results as running them one
+    after another. The lowest-cost restart wins (lowest restart index on
+    ties), so results are reproducible for a fixed (seed, restarts) pair;
+    ``iterations`` is the winner's Lloyd iteration count.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -143,20 +218,24 @@ def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingR
     if restarts < 1:
         raise InputError("restarts must be at least 1")
 
-    best = None
-    for t in range(restarts):
-        if t == 0:
-            centroids = _farthest_first(points, k)
-        else:
-            rng = np.random.default_rng([seed, t])
-            centroids = points[rng.choice(n, size=k, replace=False)].copy()
-        labels, cost, iterations = _lloyd(points, centroids.astype(float))
-        if best is None or cost < best[1] - TOL.inequality_slack:
-            best = (labels, cost, iterations)
-    labels, cost, iterations = best
-    p = Partition(Partition(labels, k).canonical_labels(), k)
+    starts = [_farthest_first(points, k)]
+    for t in range(1, restarts):
+        rng = np.random.default_rng([seed, t])
+        starts.append(points[rng.choice(n, size=k, replace=False)])
+    starts = np.stack(starts)
+    # restarts go in groups whose distance arrays stay near LLOYD_BATCH_CELLS;
+    # an error in a group is raised before any later group runs
+    group = max(1, LLOYD_BATCH_CELLS // starts[0].size // n)
+    runs = [_lloyd(points, starts[t:t + group]) for t in range(0, restarts, group)]
+    labels, costs, iterations = (np.concatenate(parts) for parts in zip(*runs))
+    costs = costs.tolist()
+    best = 0
+    for t in range(1, restarts):
+        if costs[t] < costs[best] - TOL.inequality_slack:
+            best = t
+    p = Partition(Partition(labels[best], k).canonical_labels(), k)
     return RoundingResult(
-        partition=p, objective=cost, iterations=iterations, restarts_used=restarts
+        partition=p, objective=costs[best], iterations=int(iterations[best]), restarts_used=restarts
     )
 
 

@@ -72,6 +72,66 @@ def test_intra_connectivities_disconnected_block_is_zero():
     assert lam[0] == pytest.approx(0.0, abs=1e-9)
 
 
+def _lambda2s_by_induced_subgraphs(g, p):
+    # the route the block solves replaced: a validated subgraph per block
+    return np.array([math.inf if b.size == 1 else rc.lambda2(rc.induced_subgraph(g, b))
+                     for b in p.blocks()])
+
+
+def test_intra_connectivities_equal_induced_subgraph_lambda2_bit_for_bit(unbalanced):
+    rng = np.random.default_rng(17)
+    cases = [unbalanced]
+    for trial in range(60):
+        n = int(rng.integers(2, 30))
+        k = int(rng.integers(1, min(n, 6) + 1))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(labels)
+        density = rng.uniform(0.1, 1.0)
+        w = np.triu(rng.random((n, n)) < density, 1).astype(float)
+        if trial % 2:
+            w *= rng.uniform(0.01, 5.0, (n, n))
+        cases.append((rc.WeightedGraph(w + w.T), rc.Partition(labels, k)))
+    singletons = 0
+    for g, p in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lam = rc.intra_connectivities(g, p)
+            per_block = rc.gap_lower_per_block(g, p)
+            want = _lambda2s_by_induced_subgraphs(g, p)
+        assert lam.tobytes() == want.tobytes()
+        assert per_block.tobytes() == (want / (2.0 * np.log(np.maximum(p.sizes(), 2)))).tobytes()
+        has_singleton = bool(np.any(p.sizes() == 1))
+        singletons += has_singleton
+        assert any(issubclass(c.category, SingletonBlockWarning) for c in caught) == has_singleton
+    assert singletons >= 5
+
+
+def test_block_lambda2s_reject_a_partition_of_another_size():
+    from ratiocut.eigen import block_lambda2s
+
+    g = complete_graph(4)
+    for labels in ([0, 0, 1], [0, 0, 1, 1, 1]):
+        with pytest.raises(InputError):
+            block_lambda2s(g, rc.Partition(np.array(labels), 2))
+
+
+def test_block_lambda2s_check_every_solve(monkeypatch):
+    from ratiocut import eigen
+    from ratiocut.errors import SolverError
+
+    eigh = np.linalg.eigh
+
+    def non_orthonormal(m):
+        values, vectors = eigh(m)
+        vectors[:, 0] *= 1.0 + 1e-6
+        return values, vectors
+
+    g, p = rc.gen_example_blocks(2, 0.9)
+    monkeypatch.setattr(eigen.np.linalg, "eigh", non_orthonormal)
+    with pytest.raises(SolverError):
+        rc.intra_connectivities(g, p)
+
+
 def test_certificate_passing_regime():
     g, p = rc.gen_example_blocks(2, 0.9)
     cert = rc.certificate(g, p)
@@ -125,6 +185,17 @@ def test_certificate_disconnected_block():
     g = two_disjoint_pairs()
     p = rc.Partition(np.array([0, 0, 0, 0]), 1)
     cert = rc.certificate(g, p)
+    assert math.isinf(cert.ratio_r)
+    assert not cert.passes and not cert.strict
+    # a disconnected block among connected ones, with boundary weight
+    w = complete_graph(7).weights.copy()
+    w[4:, 4:] = 0.0
+    w[4, 5] = w[5, 4] = 2.0
+    g = rc.WeightedGraph(w)
+    p = rc.Partition(np.array([0, 0, 0, 0, 1, 1, 1]), 2)
+    cert = rc.certificate(g, p)
+    assert cert.lambda2s.tobytes() == _lambda2s_by_induced_subgraphs(g, p).tobytes()
+    assert cert.min_lambda2 == pytest.approx(0.0, abs=1e-12)
     assert math.isinf(cert.ratio_r)
     assert not cert.passes and not cert.strict
 

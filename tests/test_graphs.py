@@ -42,6 +42,50 @@ def test_graph_rejects_asymmetric_beyond_tolerance():
     assert np.array_equal(g.weights, g.weights.T)
 
 
+def test_graph_stores_symmetric_weights_bit_for_bit():
+    # finite weights near the float maximum must not overflow on the way in,
+    # and subnormal weights must not be halved away
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = rc.WeightedGraph(np.full((4, 4), 1e308))
+        with pytest.raises(InputError):
+            rc.WeightedGraph(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+    assert np.all(np.isfinite(g.weights))
+    assert np.all(g.weights[~np.eye(4, dtype=bool)] == 1e308)
+    w = np.array([[0.0, 5e-324, 0.0], [5e-324, 0.0, 2.5], [0.0, 2.5, 0.0]])
+    assert np.array_equal(rc.WeightedGraph(w).weights, w)
+    rng = np.random.default_rng(5)
+    a = rng.random((7, 7))
+    a = a + a.T
+    np.fill_diagonal(a, 0.0)
+    assert rc.WeightedGraph(a).weights.tobytes() == a.tobytes()
+    # an asymmetry within tolerance is averaged exactly as before, and an
+    # entry pair that agrees keeps its value even next to one that does not
+    b = a.copy()
+    b[1, 2] += 3e-11
+    stored = rc.WeightedGraph(b).weights
+    assert stored[1, 2] == stored[2, 1] == 0.5 * (b[1, 2] + b[2, 1])
+    assert np.array_equal(stored, stored.T)
+    off = np.ones((7, 7), dtype=bool)
+    off[[1, 2], [2, 1]] = False
+    assert np.array_equal(stored[off], a[off])
+    c = np.full((3, 3), 1e308)
+    c[0, 1] = c[1, 0] = 5e-324
+    c[0, 2] = 1.0
+    c[2, 0] = 1.0 + 2e-16
+    stored = rc.WeightedGraph(c).weights
+    assert stored[0, 1] == stored[1, 0] == 5e-324
+    assert stored[1, 2] == stored[2, 1] == 1e308
+    assert stored[0, 2] == stored[2, 0] == 0.5 * (c[0, 2] + c[2, 0])
+    # -0.0 against 0.0 compares equal but is not the same bits: averaged to 0.0
+    z = np.zeros((2, 2))
+    z[0, 1] = -0.0
+    stored = rc.WeightedGraph(z).weights
+    assert stored.tobytes() == np.zeros((2, 2)).tobytes()
+
+
 def test_graph_zeroes_diagonal_and_freezes():
     w = np.array([[0.5, 1.0], [1.0, 0.25]])
     g = rc.WeightedGraph(w)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import ratiocut as rc
-from ratiocut.errors import DisconnectedGraphWarning, InputError
-from ratiocut.rounding import _lloyd
+from ratiocut.errors import DisconnectedGraphWarning, InputError, SolverError
+from ratiocut.rounding import MAX_LLOYD_ITERATIONS, _farthest_first, _lloyd, _sq_dists
+from ratiocut.tolerances import DEFAULT as TOL
 
 
 def complete_graph(n, weight=1.0):
@@ -121,12 +122,197 @@ def test_lloyd_keeps_every_cluster_nonempty_on_duplicate_points():
         k = int(rng.integers(2, 6))
         n = int(rng.integers(k, 12))
         points = rng.integers(0, 2, size=(n, 2)).astype(float)
-        for _ in range(3):
-            centroids = points[rng.choice(n, size=k, replace=False)].copy()
-            labels, cost, _ = _lloyd(points, centroids)
+        starts = np.stack([points[rng.choice(n, size=k, replace=False)] for _ in range(3)])
+        all_labels, costs, _ = _lloyd(points, starts)
+        for labels, cost in zip(all_labels, costs):
             assert np.bincount(labels, minlength=k).min() >= 1, (seed, labels)
             means = np.vstack([points[labels == j].mean(axis=0) for j in range(k)])
             assert cost == pytest.approx(((points - means[labels]) ** 2).sum(), abs=1e-12)
+
+
+# The per-restart Lloyd loop that the batched pass replaced, kept as the
+# reference: the batched pass must give its labels, objective, iterations
+# and errors exactly.
+
+
+def _reference_lloyd(points, centroids):
+    n = points.shape[0]
+    k = centroids.shape[0]
+    labels = np.full(n, -1)
+    prev_cost = math.inf
+    iterations = 0
+    for _ in range(MAX_LLOYD_ITERATIONS):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        dist = d2[np.arange(n), new_labels]
+        cost = float(dist.sum())
+        if not cost <= prev_cost + TOL.inequality_slack:
+            raise SolverError(
+                f"k-means cost went from {prev_cost:.12g} to {cost:.12g}; a Lloyd step cannot raise it"
+            )
+        prev_cost = cost
+        for j in np.flatnonzero(np.bincount(new_labels, minlength=k) == 0):
+            counts = np.bincount(new_labels, minlength=k)
+            far = int(np.argmax(np.where(counts[new_labels] >= 2, dist, -1.0)))
+            centroids[j] = points[far]
+            new_labels[far] = j
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        iterations += 1
+        for j in range(k):
+            centroids[j] = points[labels == j].mean(axis=0)
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    cost = float(d2[np.arange(n), labels].sum())
+    return labels, cost, iterations
+
+
+def _reference_kmeans(points, k, seed, restarts):
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    best = None
+    for t in range(restarts):
+        if t == 0:
+            centroids = _farthest_first(points, k)
+        else:
+            rng = np.random.default_rng([seed, t])
+            centroids = points[rng.choice(n, size=k, replace=False)].copy()
+        labels, cost, iterations = _reference_lloyd(points, centroids.astype(float))
+        if best is None or cost < best[1] - TOL.inequality_slack:
+            best = (labels, cost, iterations)
+    labels, cost, iterations = best
+    return rc.Partition(labels, k).canonical_labels(), cost, iterations
+
+
+def _outcome(run):
+    try:
+        return run()
+    except SolverError as exc:
+        return "SolverError", str(exc)
+
+
+def _assert_matches_reference(points, k, seed, restarts=10):
+    def batched():
+        out = rc.kmeans_round(points, k, seed=seed, restarts=restarts)
+        assert out.restarts_used == restarts
+        return out.partition.labels.tolist(), out.objective, out.iterations
+
+    def reference():
+        labels, cost, iterations = _reference_kmeans(points, k, seed, restarts)
+        return labels.tolist(), cost, iterations
+
+    got, want = _outcome(batched), _outcome(reference)
+    assert got == want, (k, seed, points.shape)
+    return got
+
+
+def _block_embedding(rng, n, k):
+    sizes = rng.multinomial(n - 3 * k, np.ones(k) / k) + 3
+    labels = np.repeat(np.arange(k), sizes)
+    same = labels[:, None] == labels[None, :]
+    w = np.where(same, rng.random((n, n)) < 0.6, rng.random((n, n)) < 0.08)
+    w = np.triu(w * rng.uniform(0.1, 2.0, (n, n)), 1)
+    return rc.eigenmap(rc.WeightedGraph(w + w.T), k).U
+
+
+def test_batched_lloyd_matches_the_per_restart_loop():
+    # k = 1..9 takes in both summation traps: one coordinate (d = 1), whose
+    # mean numpy sums pairwise, and d >= 8, whose squared distances numpy
+    # sums pairwise; duplicate-heavy points leave clusters empty
+    iterations = []
+    for k in range(1, 10):
+        for seed in range(5):
+            rng = np.random.default_rng([k, seed])
+            n = int(rng.integers(3 * k + 8, 70))
+            kinds = [
+                _block_embedding(rng, n, k),
+                rng.normal(size=(n, k)),
+                rng.normal(size=(n, 1)),
+                rng.integers(0, 2, size=(max(k, 12), 3)).astype(float),
+                rng.integers(0, 3, size=(max(k, 10), 1)) * 0.1,
+            ]
+            for points in kinds:
+                out = _assert_matches_reference(points, k, seed)
+                iterations.append(out[2])
+    assert max(iterations) > 5
+
+
+def test_restarts_in_groups_match_the_per_restart_loop(monkeypatch):
+    # a large n * k * restarts runs in groups of restarts to bound memory
+    from ratiocut import rounding
+
+    rng = np.random.default_rng(6)
+    points = _block_embedding(rng, 40, 4)
+    dup = rng.integers(0, 2, size=(12, 2)).astype(float)
+    bad = rng.normal(size=(20, 3))
+    bad[5, 0] = math.nan
+    for cells in (1, 3 * 40 * 4 * 4):  # groups of one restart, of three
+        monkeypatch.setattr(rounding, "LLOYD_BATCH_CELLS", cells)
+        for seed in range(3):
+            _assert_matches_reference(points, 4, seed)
+            _assert_matches_reference(dup, 5, seed, restarts=7)
+        with np.errstate(invalid="ignore"):
+            assert _assert_matches_reference(bad, 3, seed=0)[0] == "SolverError"
+
+
+def test_batched_lloyd_matches_reference_at_the_iteration_cap():
+    # three distinct values and five clusters: empty clusters are re-seeded
+    # on every pass and the assignment never settles
+    x = [0.2, 0.0, 0.2, 0.1, 0.0, 0.2, 0.2, 0.2, 0.1, 0.2, 0.2, 0.1, 0.0, 0.2]
+    for points in (np.array(x)[:, None], np.column_stack([x, np.zeros(len(x))])):
+        out = _assert_matches_reference(points, 5, seed=2, restarts=8)
+        assert out[2] == MAX_LLOYD_ITERATIONS
+
+
+def test_batched_lloyd_raises_the_reference_error():
+    rng = np.random.default_rng(4)
+    for bad in (math.nan, math.inf):
+        points = rng.normal(size=(20, 3))
+        points[7, 1] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _assert_matches_reference(points, 3, seed=1)
+        assert out[0] == "SolverError"
+
+
+def test_lloyd_error_is_the_lowest_failing_restart():
+    # restart 1 starts at a NaN centroid and fails on its first pass; restart
+    # 0 fails on its second, when the mean of two 1e308 points overflows. Run
+    # one after another, restart 0 raises first, and so must the batched pass
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [1e308, 0.0], [1e308, 0.0]])
+    starts = np.array([[[0.0, 0.0], [1e308, 0.0]], [[0.0, 0.0], [math.nan, 0.0]]])
+    messages = []
+    for start in starts:
+        with pytest.raises(SolverError) as exc, np.errstate(over="ignore", invalid="ignore"):
+            _reference_lloyd(points, start.copy())
+        messages.append(str(exc.value))
+    assert "from 1 to inf" in messages[0] and "from inf to nan" in messages[1]
+    with pytest.raises(SolverError) as batched, np.errstate(over="ignore", invalid="ignore"):
+        _lloyd(points, starts.copy())
+    assert str(batched.value) == messages[0]
+
+
+def test_sq_dists_keep_the_coordinate_sum_of_one_point():
+    rng = np.random.default_rng(8)
+    for d in range(1, 13):
+        points = rng.normal(size=(30, d)) * 10.0 ** rng.integers(-3, 4, size=(30, d))
+        centroids = rng.normal(size=(4, 3, d))
+        want = np.array([[[((x - c) ** 2).sum() for x in points] for c in cs] for cs in centroids])
+        assert _sq_dists(points, centroids).tobytes() == want.tobytes(), d
+
+
+def test_summation_traps_are_real():
+    # why the batched pass reduces as it does: the two shortcuts it avoids
+    # give different bits on ordinary data
+    rng = np.random.default_rng(9)
+    sq = rng.random((500, 8)) * 10.0 ** rng.integers(-4, 4, size=(500, 8))
+    left_to_right = sq[:, 0].copy()
+    for c in range(1, 8):
+        left_to_right += sq[:, c]
+    assert np.any(left_to_right != sq.sum(axis=-1))
+    column = rng.normal(size=(200, 16))
+    in_order = np.array([np.bincount(np.zeros(16, dtype=int), weights=col)[0] / 16 for col in column])
+    pairwise = np.array([col[:, None].mean(axis=0)[0] for col in column])
+    assert np.any(in_order != pairwise)
 
 
 def test_kmeans_validation():

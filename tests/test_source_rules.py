@@ -5,8 +5,10 @@ Failures must use the documented error types of ``ratiocut.errors``: an
 part of the documented interface.
 
 Every Laplacian spectrum comes from ``eigen``: no module other than
-``eigen.py`` calls ``sym_eig``; the others ask ``eigen`` for the quantity
-(``lambda2``, ``fiedler``, ``eigenmap``) they need.
+``eigen.py`` calls ``sym_eig`` or an eigensolver (``eigh``, ``eigvalsh``)
+directly; the others ask ``eigen`` for the quantity (``lambda2``,
+``fiedler``, ``eigenmap``, ``block_lambda2s``) they need, so every solve
+passes its residual check.
 
 Every small threshold lives in ``Tolerances``: no module other than
 ``tolerances.py`` spells out a float literal with ``0 < |x| < 1e-3``.
@@ -52,34 +54,43 @@ def test_rule_detects_both_forms(tmp_path):
     assert _violations(bad) == ["bad.py:2: assert", "bad.py:3: raise RuntimeError"]
 
 
-def _sym_eig_calls(path: Path) -> list[str]:
+SPECTRUM_CALLS = {"sym_eig", "eigh", "eigvalsh"}
+
+
+def _spectrum_calls(path: Path) -> list[str]:
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "sym_eig":
-                found.append(f"{path.name}:{node.lineno}: sym_eig call")
+            if name in SPECTRUM_CALLS:
+                found.append(f"{path.name}:{node.lineno}: {name} call")
     return found
 
 
 def test_only_eigen_calls_sym_eig():
+    # nor any other eigensolver (SPECTRUM_CALLS)
     sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "eigen.py"]
     assert sources
-    calls = [c for path in sources for c in _sym_eig_calls(path)]
+    calls = [c for path in sources for c in _spectrum_calls(path)]
     assert calls == []
 
 
 def test_spectrum_rule_detects_direct_and_qualified_calls(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import eigvalsh\n"
         "from .eigen import sym_eig\n"
         "from . import eigen\n"
         "def f(l):\n"
         "    values, _ = sym_eig(l)\n"
+        "    values, _ = np.linalg.eigh(l)\n"
+        "    values = eigvalsh(l)\n"
         "    return eigen.sym_eig(l)\n"
     )
-    assert _sym_eig_calls(bad) == ["bad.py:4: sym_eig call", "bad.py:5: sym_eig call"]
+    assert _spectrum_calls(bad) == ["bad.py:6: sym_eig call", "bad.py:7: eigh call",
+                                    "bad.py:8: eigvalsh call", "bad.py:9: sym_eig call"]
 
 
 def _small_float_literals(path: Path) -> list[str]:
