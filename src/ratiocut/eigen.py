@@ -6,10 +6,11 @@ convention (largest-magnitude entry positive, ties broken by lowest index)
 and checks the residual and orthonormality of the result before returning
 it. Output is reproducible for a fixed input on a fixed build.
 
-``block_lambda2s`` gives the algebraic connectivity of every block of a
-partition. It cuts each block's Laplacian straight out of the graph's
-validated, exactly symmetric weights, so it skips the copy and symmetry
-pass of ``sym_eig``, and checks every block solve the same way.
+``lambda2`` and ``block_lambda2s`` give the algebraic connectivity of a
+graph and of every block of a partition. A validated graph's weights are
+exactly symmetric, so both hand its Laplacian (for a block, cut straight out
+of the graph's weights) to the same checked solve without the copy and
+symmetry pass of ``sym_eig``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SolverError
-from .graphs import Partition, WeightedGraph, laplacian
+from .graphs import Partition, WeightedGraph, laplacian, weights_laplacian
 from .tolerances import DEFAULT as TOL
 
 
@@ -127,8 +128,7 @@ def lambda2(g: WeightedGraph) -> float:
     """
     if g.n < 2:
         raise InputError("algebraic connectivity needs at least 2 vertices")
-    values, _ = sym_eig(laplacian(g))
-    return float(values[1])
+    return float(_checked_eigh(laplacian(g))[0][1])
 
 
 def block_lambda2s(g: WeightedGraph, p: Partition) -> np.ndarray:
@@ -136,17 +136,14 @@ def block_lambda2s(g: WeightedGraph, p: Partition) -> np.ndarray:
 
     Equal bit for bit to ``lambda2(induced_subgraph(g, p.block(j)))``: the
     block Laplacian is built from the same entries of ``g.weights``, which
-    are already exactly symmetric, so the symmetrizations on that route
-    change nothing and are skipped.
+    are already exactly symmetric, so no second graph is validated.
     """
     if p.n != g.n:
         raise InputError(f"partition covers {p.n} vertices but the graph has {g.n}")
     out = np.full(p.k, np.inf)
     for j, members in enumerate(p.blocks()):
         if members.size > 1:
-            w = g.weights[np.ix_(members, members)]
-            lap = -w
-            np.fill_diagonal(lap, w.sum(axis=1))
+            lap = weights_laplacian(g.weights[np.ix_(members, members)])
             out[j] = _checked_eigh(lap)[0][1]
     return out
 

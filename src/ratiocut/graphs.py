@@ -134,8 +134,14 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     Symmetric, positive semidefinite, zero row sums; off-diagonal entries
     are ``-w_ij``.
     """
-    lap = -np.array(g.weights)
-    np.fill_diagonal(lap, g.degrees())
+    return weights_laplacian(g.weights)
+
+
+def weights_laplacian(w: np.ndarray) -> np.ndarray:
+    """``L = D - W`` of a weight array taken from a ``WeightedGraph``, such
+    as the rows and columns of one block; ``w`` is not validated again."""
+    lap = -w
+    np.fill_diagonal(lap, w.sum(axis=1))
     return lap
 
 

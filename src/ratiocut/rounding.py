@@ -98,10 +98,10 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     the iteration cap is hit. Returns labels (r, n), costs (r,) and
     iterations (r,). Each restart's arithmetic is that of running it alone,
     ``argmin`` of ``((x - c) ** 2).sum()`` and ``mean`` of the members:
-    ``_sq_dists`` keeps the coordinate sum's order, and a centroid is its
-    members' sum in index order over their count. A single column is the
-    exception: ``mean`` sums it pairwise, so those centroids come from
-    ``mean`` itself.
+    ``_sq_dists`` sums along the coordinate axis as that sum does, and a
+    centroid is its members' sum in index order over their count. A single
+    column is the exception: ``mean`` sums it pairwise, so those centroids
+    come from ``mean`` itself.
     """
     n, d = points.shape
     r, k, _ = centroids.shape
@@ -170,13 +170,8 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared distances of every point to every centroid of every restart,
-    shape (r, k, n). numpy sums fewer than 8 terms left to right, as the
-    reduction over the leading coordinate axis here does; from 8 on it sums
-    pairwise, so those are reduced along the last axis as for one point."""
-    if points.shape[1] < 8:
-        diff = np.ascontiguousarray(points.T)[:, None, None, :] - centroids.transpose(2, 0, 1)[:, :, :, None]
-        return np.add.reduce(np.square(diff, out=diff), axis=0)
-    return np.square(points[:, None, :] - centroids[:, None, :, :]).sum(axis=-1).transpose(0, 2, 1)
+    shape (r, k, n), each summed over its coordinates as for one point."""
+    return np.square(points[:, None, :] - centroids[:, None]).sum(axis=-1).transpose(0, 2, 1)
 
 
 def _block_sums(ext: np.ndarray, labels: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:

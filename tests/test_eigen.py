@@ -164,6 +164,32 @@ def test_lambda2_zero_iff_disconnected():
         rc.lambda2(rc.WeightedGraph(np.zeros((1, 1))))
 
 
+def test_lambda2_equals_the_sym_eig_value_bit_for_bit():
+    # lambda2 skips the copy and symmetrization of sym_eig, which change no
+    # bit of a validated graph's Laplacian
+    rng = np.random.default_rng(32)
+    for trial in range(40):
+        n = int(rng.integers(2, 30))
+        w = np.triu(rng.random((n, n)) < 0.4, 1).astype(float)
+        if trial % 2:
+            w *= rng.random((n, n)) * 10.0 ** rng.integers(-3, 4)
+        g = rc.WeightedGraph(w + w.T)
+        assert rc.lambda2(g) == float(rc.sym_eig(rc.laplacian(g))[0][1])
+
+
+def test_lambda2_checks_its_solve(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def non_orthonormal(m):
+        values, vectors = eigh(m)
+        vectors[:, 0] *= 1.0 + 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(eigen.np.linalg, "eigh", non_orthonormal)
+    with pytest.raises(SolverError):
+        rc.lambda2(path3())
+
+
 def test_fiedler_vector():
     g = path3()
     f = rc.fiedler(g)

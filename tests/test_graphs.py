@@ -135,6 +135,18 @@ def test_laplacian_rows_sum_to_zero():
     assert np.allclose(lap, lap.T)
 
 
+def test_block_laplacian_cut_from_the_weights_is_the_induced_subgraph_laplacian():
+    from ratiocut.graphs import weights_laplacian
+
+    rng = np.random.default_rng(12)
+    w = np.triu(rng.uniform(0, 2, (9, 9)) * (rng.random((9, 9)) < 0.6), 1)
+    g = rc.WeightedGraph(w + w.T)
+    block = np.array([0, 2, 3, 7])
+    lap = weights_laplacian(g.weights[np.ix_(block, block)])
+    assert lap.tobytes() == rc.laplacian(rc.induced_subgraph(g, block)).tobytes()
+    assert rc.laplacian(g).flags.writeable and not g.weights.flags.writeable
+
+
 def test_laplacian_positive_semidefinite():
     # independent check through numpy's eigensolver
     rng = np.random.default_rng(3)
