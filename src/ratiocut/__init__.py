@@ -4,9 +4,10 @@ The package turns three pieces of spectral graph theory into checkable
 tools: a sufficient condition certifying that a given k-way partition is
 the global minimum ratio cut, a two-to-infinity perturbation bound for how
 far the Laplacian eigenmap can drift from ideal block indicators, and
-l-infinity eigengap estimates with an exact LP-based oracle. Rounding
-(Fiedler bisection, Lloyd k-means) and a brute-force exact solver for
-small graphs round out the pipeline.
+l-infinity eigengap estimates with the exact gap in closed form, returned
+only inside a closed primal/dual bracket. Rounding (Fiedler bisection,
+Lloyd k-means) and a brute-force exact solver for small graphs round out
+the pipeline.
 """
 
 from .certify import (

@@ -4,7 +4,9 @@
 (``?syevd``, through ``np.linalg.eigh``), then fixes eigenvector signs by a
 convention (largest-magnitude entry positive, ties broken by lowest index)
 and checks the residual and orthonormality of the result before returning
-it. Output is reproducible for a fixed input on a fixed build.
+it. Output is reproducible for a fixed input on a fixed build run with a
+fixed OpenBLAS thread count (``OPENBLAS_NUM_THREADS``): a different count
+can move the last bits.
 
 ``lambda2`` and ``block_lambda2s`` give the algebraic connectivity of a
 graph and of every block of a partition. A validated graph's weights are
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SolverError
-from .graphs import Partition, WeightedGraph, laplacian, weights_laplacian
+from .graphs import Partition, WeightedGraph, check_partition, laplacian, weights_laplacian
 from .tolerances import DEFAULT as TOL
 
 
@@ -32,8 +34,14 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _check_decomposition(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
-    """Raise SolverError unless ``a @ V = V diag(values)`` and ``V.T @ V = I``."""
-    scale = max(1.0, float(np.linalg.norm(a)))
+    """Raise SolverError unless ``a @ V = V diag(values)`` and ``V.T @ V = I``.
+
+    Also when ``||a||_F`` overflows: a bound scaled by inf passes any residual.
+    """
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.linalg.norm(a)))
+    if not np.isfinite(scale):
+        raise SolverError("matrix norm overflows, so the residual cannot be checked")
     residual = float(np.max(np.abs(a @ vectors - vectors * values), initial=0.0))
     ortho = float(np.max(np.abs(vectors.T @ vectors - np.eye(a.shape[0])), initial=0.0))
     # written as "not <=" so that NaN residuals fail the check too
@@ -67,9 +75,9 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     InputError
         If ``a`` is not square or not symmetric.
     SolverError
-        If LAPACK fails, or if ``max|A V - V diag(values)|`` exceeds
-        ``eigen_residual * max(1, ||A||_F)`` or ``max|V^T V - I|`` exceeds
-        ``eigen_residual``.
+        If LAPACK fails, if ``||A||_F`` overflows, or if
+        ``max|A V - V diag(values)|`` exceeds ``eigen_residual * max(1,
+        ||A||_F)`` or ``max|V^T V - I|`` exceeds ``eigen_residual``.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -138,8 +146,7 @@ def block_lambda2s(g: WeightedGraph, p: Partition) -> np.ndarray:
     block Laplacian is built from the same entries of ``g.weights``, which
     are already exactly symmetric, so no second graph is validated.
     """
-    if p.n != g.n:
-        raise InputError(f"partition covers {p.n} vertices but the graph has {g.n}")
+    check_partition(g, p)
     out = np.full(p.k, np.inf)
     for j, members in enumerate(p.blocks()):
         if members.size > 1:

@@ -128,6 +128,12 @@ def same_partition(p: Partition, q: Partition) -> bool:
     return p.n == q.n and p.k == q.k and np.array_equal(p.canonical_labels(), q.canonical_labels())
 
 
+def check_partition(g: WeightedGraph, p: Partition) -> None:
+    """Raise InputError unless ``p`` labels exactly the vertices of ``g``."""
+    if p.n != g.n:
+        raise InputError(f"partition has {p.n} labels but the graph has {g.n} vertices")
+
+
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Graph Laplacian ``L = D - W``.
 
@@ -172,8 +178,7 @@ def cut_weight(g: WeightedGraph, subset) -> float:
 
 def ratio_cut(g: WeightedGraph, p: Partition) -> float:
     """Sum over blocks of the boundary weight divided by the block size."""
-    if p.n != g.n:
-        raise InputError(f"partition covers {p.n} vertices but the graph has {g.n}")
+    check_partition(g, p)
     total = 0.0
     for j in range(p.k):
         mask = p.labels == j

@@ -18,11 +18,10 @@ per block: the prefix side holds the weight from the block's prefix
 vertices and from the rest of the prefix to each suffix vertex, the suffix
 side the indicators of the block and of its complement. No term is
 negative, so each batch value is within a small relative error of what
-``graphs.ratio_cut`` computes. The values are filtered in units of at most
-2,048 consecutive strings; only the strings that could change the best or
-the runner-up get label rows, and they are rescored in one batch that
-repeats ``ratio_cut``'s arithmetic bit for bit, so the result is the one
-the plain per-partition loop gives.
+``graphs.ratio_cut`` computes. Each scored chunk is filtered once; only the
+strings that could change the best or the runner-up get label rows, and
+they are rescored in one batch that repeats ``ratio_cut``'s arithmetic bit
+for bit, so the result is the one the plain per-partition loop gives.
 """
 
 from __future__ import annotations
@@ -40,12 +39,10 @@ MAX_ENUM_N = 14
 
 # most suffixes, k ** s: the suffix side of the products stays small and in cache
 _TABLE_ROWS = 1024
-# strings per filter unit, whose second-smallest batch value sets the reach:
-# every string of a unit is rescored when all of them tie
-_UNIT_ROWS = 2048
-# prefix x suffix pairs scored per chunk of prefixes: the three chunk buffers
-# (64 kB each) stay in cache; four times as many took a third less time at
-# n = 14, k = 4 but raised its peak memory by about half a megabyte
+# prefix x suffix pairs scored and filtered per chunk of prefixes: the three
+# chunk buffers (64 kB each) stay in cache, and every string of a chunk is
+# rescored when all of them tie; four times as many took a third less time
+# at n = 14, k = 4 but raised its peak memory by about half a megabyte
 _CHUNK_ROWS = 8192
 
 
@@ -133,13 +130,12 @@ def _indicators(labels: np.ndarray, k: int) -> np.ndarray:
     return (labels == np.arange(k, dtype=labels.dtype)[:, None, None]).astype(float)
 
 
-def _batch_ratio_cuts(w: np.ndarray, st: _Strings, group: int) -> Iterator[tuple[int, np.ndarray]]:
+def _batch_ratio_cuts(w: np.ndarray, st: _Strings) -> Iterator[tuple[int, np.ndarray]]:
     """Ratio cut estimates of every string, from sums of nonnegative terms only.
 
     Yields ``(first, values)`` per chunk of prefixes: ``values[i, t]``
     estimates the ratio cut of string ``(first + i, t)``, and is ``inf``
-    where the pair is not admitted. A chunk's row count is a multiple of
-    ``group``; the last one is padded. Block j's cut is the weight from its
+    where the pair is not admitted. Block j's cut is the weight from its
     prefix vertices to the rest of the prefix (``PP``), the same within the
     suffix (``SS``), and between the two; for one prefix and one suffix that
     is the product ``[A, B, PP, 1] . [1 - h, h, 1, SS]`` of a prefix-side
@@ -157,9 +153,9 @@ def _batch_ratio_cuts(w: np.ndarray, st: _Strings, group: int) -> Iterator[tuple
     right[:, 2 * s] = 1.0
     right[:, 2 * s + 1] = np.einsum("jit,jit->jt", h, w_ss @ right[:, :s])
     right_size = h.sum(axis=1)
-    chunk = group * max(1, _CHUNK_ROWS // (group * len(st.suffixes)))
+    chunk = max(1, _CHUNK_ROWS // len(st.suffixes))
     # one set of chunk buffers for the whole scan, so no chunk allocates anew
-    values = np.empty((min(chunk, -(-len(st.prefixes) // group) * group), len(st.suffixes)))
+    values = np.empty((min(chunk, len(st.prefixes)), len(st.suffixes)))
     cut = np.empty_like(values)
     size = np.empty_like(values)
     for first in range(0, len(st.prefixes), chunk):
@@ -170,7 +166,6 @@ def _batch_ratio_cuts(w: np.ndarray, st: _Strings, group: int) -> Iterator[tuple
         left = np.concatenate([h @ w_ps, rest @ w_ps, pp[..., None], one], axis=2)
         left_size = h.sum(axis=2)
         x = h.shape[1]
-        values[x:] = np.inf
         total = values[:x]
         total[...] = 0.0
         with np.errstate(divide="ignore", invalid="ignore"):  # a block left empty: not admitted
@@ -180,7 +175,7 @@ def _batch_ratio_cuts(w: np.ndarray, st: _Strings, group: int) -> Iterator[tuple
                 cut[:x] /= size[:x]
                 total += cut[:x]
         np.copyto(total, np.inf, where=~st.admits[st.used[first : first + chunk]])
-        yield first, values[: -(-x // group) * group]
+        yield first, total
 
 
 def _exact_ratio_cuts(w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -253,50 +248,45 @@ def min_ratio_cut_bruteforce(g: WeightedGraph, k: int) -> OracleResult:
     reported value and runner-up are exactly what ``ratio_cut`` computes on
     the partitions they come from.
 
-    The strings are scored in batches and filtered in units of at most
-    ``_UNIT_ROWS`` consecutive strings; a string is rescored exactly and
-    passed to the update only if its batch value could make it the best or
-    the runner-up. With ``slack = inequality_slack * max(1, sum of
-    degrees)`` bounding the batch error, a string is skipped when its batch
-    value exceeds the runner-up so far by more than ``slack``, or its unit's
-    second smallest batch value by more than ``2 * slack``: its ratio cut
-    then lies above the final runner-up. Once a runner-up exists, a string
-    is also skipped when the relative error of its batch value (sums of
-    nonnegative terms on both sides) rules out a ratio cut strictly below
-    the runner-up, since the update would then leave everything as it is.
+    The strings are scored and filtered in chunks of consecutive strings; a
+    string is rescored exactly and passed to the update only if its batch
+    value could make it the best or the runner-up. With ``slack =
+    inequality_slack * max(1, sum of degrees)`` bounding the batch error, a
+    string is skipped when its batch value exceeds the runner-up so far by
+    more than ``slack``, or its chunk's second smallest batch value by more
+    than ``2 * slack``: its ratio cut then lies above the final runner-up.
+    Once a runner-up exists, a string is also skipped when the relative
+    error of its batch value (sums of nonnegative terms on both sides) rules
+    out a ratio cut strictly below the runner-up, since the update would
+    then leave everything as it is. A NaN batch value, a weight sum that
+    overflowed to inf multiplied by 0, bounds nothing, so its string is
+    always rescored.
     """
     _check_size(g.n, k)
     slack = TOL.inequality_slack * max(1.0, float(g.degrees().sum()))
     rel = _batch_rel(g.n)
     st = _Strings(g.n, k, _split(g.n, k))
     width = len(st.suffixes)
-    group = _UNIT_ROWS // width  # prefixes per unit; at least 2, since width <= _TABLE_ROWS
     best = None
     best_v = np.inf
     second_v = np.inf
-    for first, values in _batch_ratio_cuts(g.weights, st, group):
-        units = values.reshape(-1, group * width)
-        bound = second_v * (1.0 + rel) if np.isfinite(second_v) else np.inf
-        for u in np.flatnonzero(units.min(axis=1) <= bound).tolist():
-            unit = units[u]
-            lead = first + u * group  # the unit's first prefix
-            reach = min(second_v, float(np.partition(unit, 1)[1]) + slack)
-            keep = unit <= reach + slack
-            if np.isfinite(second_v):
-                keep &= unit < second_v * (1.0 + rel)
-            admitted = st.admits[st.used[lead : lead + group]].ravel()  # shorter in a padded unit
-            keep[admitted.size :] = False
-            keep[: admitted.size] &= admitted
-            pos = np.flatnonzero(keep)
-            if pos.size == 0:
-                continue
-            labels = st.labels(lead + pos // width, pos % width)
-            exact = _exact_ratio_cuts(g.weights, labels, k)
-            i = int(np.argmin(exact))  # the first of equal minima, as in enumeration order
-            if exact[i] < best_v:
-                best = labels[i]
-            low = np.partition(np.append(exact, (best_v, second_v)), 1)
-            best_v, second_v = float(low[0]), float(low[1])
+    for first, values in _batch_ratio_cuts(g.weights, st):
+        # the chunk's second smallest value, inf when it holds a single string
+        reach = min(second_v, float(np.partition(np.append(values, np.inf), 1)[1]) + slack)
+        # below second_v * (1 + rel), strictly, which keeps out the pairs
+        # that are not admitted (inf) also while there is no runner-up
+        top = min(reach + slack, np.nextafter(second_v * (1.0 + rel), -np.inf))
+        # "not above" keeps NaN
+        pos = np.flatnonzero(~(values > top))
+        if pos.size == 0:
+            continue
+        labels = st.labels(first + pos // width, pos % width)
+        exact = _exact_ratio_cuts(g.weights, labels, k)
+        i = int(np.argmin(exact))  # the first of equal minima, as in enumeration order
+        if exact[i] < best_v:
+            best = labels[i]
+        low = np.partition(np.append(exact, (best_v, second_v)), 1)
+        best_v, second_v = float(low[0]), float(low[1])
     if best is None:
         raise InputError("every ratio cut overflows to inf; rescale the weights")
     unique = second_v > best_v + TOL.inequality_slack

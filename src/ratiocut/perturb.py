@@ -26,7 +26,7 @@ import numpy as np
 from .certify import certificate, intra_connectivities
 from .eigen import eigenmap, lambda2
 from .errors import DegenerateAlignmentWarning, HypothesisViolation, InputError, SizeError, SolverError
-from .graphs import Partition, WeightedGraph, diameter, is_connected, laplacian
+from .graphs import Partition, WeightedGraph, check_partition, diameter, is_connected, laplacian
 from .simplex import gap_certificate
 from .tolerances import DEFAULT as TOL
 
@@ -53,6 +53,7 @@ class IsoDelta:
 
 def split_iso_delta(g: WeightedGraph, p: Partition) -> IsoDelta:
     """Decompose ``g`` into intra-block weights and the cross-block Laplacian."""
+    check_partition(g, p)
     same_block = p.labels[:, None] == p.labels[None, :]
     w_iso = np.where(same_block, g.weights, 0.0)
     w_delta = g.weights - w_iso
@@ -156,6 +157,7 @@ def theoretical_bound(g: WeightedGraph, p: Partition) -> PerturbationReport:
     and (k+1)-th eigenvalue is numerically zero, leaving the eigenmap
     subspace undefined.
     """
+    check_partition(g, p)  # before the hypotheses, so a mismatch is an input error
     n = g.n
     if n < 3:
         raise HypothesisViolation("theorem needs at least 3 vertices")
@@ -216,6 +218,8 @@ def gap_lower_per_block(g: WeightedGraph, p: Partition) -> np.ndarray:
 
 def gap_upper_bound_unweighted(g: WeightedGraph) -> float:
     """Upper bound 4 * max_degree / diameter, valid for unweighted connected graphs."""
+    if g.n < 2:
+        raise InputError("upper bound needs at least 2 vertices")
     if not g.is_unweighted():
         raise InputError("upper bound requires an unweighted graph")
     if not is_connected(g):

@@ -205,8 +205,8 @@ def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingR
     ``iterations`` is the winner's Lloyd iteration count.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise InputError("points must be an n-by-d matrix")
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise InputError(f"points must be an n-by-d matrix with d >= 1, got shape {points.shape}")
     n = points.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"k must be in [1, {n}], got {k}")

@@ -190,6 +190,19 @@ def test_lambda2_checks_its_solve(monkeypatch):
         rc.lambda2(path3())
 
 
+def test_solves_whose_matrix_norm_overflows_raise():
+    # the Laplacian's Frobenius norm overflows, so a residual bound scaled by
+    # it would pass anything
+    g = rc.WeightedGraph([[0.0, 1e308], [1e308, 0.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(SolverError, match="overflows"):
+            rc.lambda2(g)
+        with pytest.raises(SolverError, match="overflows"):
+            eigen.block_lambda2s(g, rc.Partition([0, 0], 1))
+        with pytest.raises(SolverError, match="overflows"):
+            rc.eigenmap(g, 2)
+
+
 def test_fiedler_vector():
     g = path3()
     f = rc.fiedler(g)

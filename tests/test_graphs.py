@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ratiocut as rc
+from ratiocut import eigen
 from ratiocut.errors import InputError
 
 
@@ -194,6 +195,18 @@ def test_ratio_cut_matches_trace_formula():
         labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
         p = rc.Partition(rng.permutation(labels), k)
         assert rc.ratio_cut(g, p) == pytest.approx(ratio_cut_by_trace(g, p), abs=1e-9)
+
+
+def test_partition_of_the_wrong_size_is_an_input_error_everywhere():
+    g = rc.WeightedGraph(np.ones((7, 7)))
+    entry_points = [rc.ratio_cut, eigen.block_lambda2s, rc.boundary_degrees, rc.intra_connectivities,
+                    rc.certificate, rc.split_iso_delta, rc.theoretical_bound, rc.gap_lower_per_block]
+    # shorter, with blocks the theorem accepts; longer; and too small for the theorem
+    for labels in ([0, 0, 0, 1, 1, 1], [0] * 4 + [1] * 4, [0, 1]):
+        p = rc.Partition(labels, 2)
+        for f in entry_points:
+            with pytest.raises(InputError, match=f"partition has {p.n} labels but the graph has 7 vertices"):
+                f(g, p)
 
 
 def test_ratio_cut_zero_for_disjoint_split():

@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 from functools import lru_cache
@@ -203,6 +204,22 @@ def test_bruteforce_rejects_weights_whose_cuts_overflow():
         rc.min_ratio_cut_bruteforce(rc.WeightedGraph(w), 2)
 
 
+def test_bruteforce_rescores_strings_whose_batch_value_is_nan():
+    # vertices 0 and 1 (prefix) both join vertex 2 (suffix) at 1e308, so the
+    # weight from block {0, 1, 2}'s prefix vertices to vertex 2 overflows and
+    # is multiplied by 0 in the batch product; the ratio cut of that
+    # partition is finite, and the least one
+    w = np.zeros((4, 4))
+    w[0, 2] = w[1, 2] = 1e308
+    w[0, 1] = w[0, 3] = w[1, 3] = w[2, 3] = 1.0
+    g = rc.WeightedGraph(w + w.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = rc.min_ratio_cut_bruteforce(g, 2)
+        check_against(res, g, *loop_minimum(g, 2), "nan")
+    assert res.best.labels.tolist() == [0, 0, 0, 1]
+    assert res.value == 4.0
+
+
 def test_oracle_result_serializes():
     g, _ = rc.gen_example_blocks(1, 0.5)
     res = rc.min_ratio_cut_bruteforce(g, 2)
@@ -282,7 +299,7 @@ def test_batch_values_within_rel_of_ratio_cut_at_every_split():
         for s in range(n):
             st = oracle._Strings(n, k, s)
             seen = []
-            for first, values in oracle._batch_ratio_cuts(g.weights, st, 1):
+            for first, values in oracle._batch_ratio_cuts(g.weights, st):
                 admitted = st.admits[st.used[first : first + len(values)]]
                 assert np.all(np.isinf(values[~admitted])), (n, k, s)
                 prefix, suffix = np.nonzero(admitted)
@@ -311,29 +328,35 @@ def test_exact_batch_rescoring_is_bit_identical_to_ratio_cut():
         assert batch.tolist() == exact, (trial, n, k)
 
 
-def test_tie_across_filter_units_keeps_the_earlier_partition():
-    # vertices 1 and 13 are twins between two cores, so splitting them ties
-    # exactly (integer weights); the tied strings are 4,095 apart in
-    # enumeration order, so no filter unit of at most 2,048 strings holds both
-    n = 14
-    cores = ([0, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12])
+def test_tie_across_chunks_keeps_the_earlier_partition():
+    # vertices 1 and 13 are twins joined to cores A and B, so putting one
+    # with each core ties exactly (integer weights); the tied strings lie in
+    # different scored chunks, so no chunk's filter sees both
+    n, k = 14, 3
+    cores = ([0, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12])
     w = np.zeros((n, n))
     for core in cores:
         w[np.ix_(core, core)] = 3.0
-        w[np.ix_([1, 13], core)] = w[np.ix_(core, [1, 13])] = 1.0
+    twins, joined = [1, 13], cores[0] + cores[1]
+    w[np.ix_(twins, joined)] = w[np.ix_(joined, twins)] = 1.0
     np.fill_diagonal(w, 0.0)
     g = rc.WeightedGraph(w)
-    earlier = [0] * 7 + [1] * 7
-    later = [0, 1] + [0] * 5 + [1] * 6 + [0]
-    index = {tuple(p.labels.tolist()): i for i, p in enumerate(rc.enumerate_partitions(n, 2))}
-    assert index[tuple(later)] - index[tuple(earlier)] > oracle._UNIT_ROWS
-    value = rc.ratio_cut(g, rc.Partition(earlier, 2))
-    assert rc.ratio_cut(g, rc.Partition(later, 2)) == value
-    res = rc.min_ratio_cut_bruteforce(g, 2)
+    earlier = [0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 1]
+    later = [0, 1, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 0]
+    st = oracle._Strings(n, k, oracle._split(n, k))
+    firsts = [first for first, _ in oracle._batch_ratio_cuts(g.weights, st)]
+
+    def chunk_of(labels):
+        prefix = np.flatnonzero((st.prefixes == np.array(labels[: st.p], dtype=np.int8)).all(axis=1))
+        return bisect.bisect_right(firsts, int(prefix[0])) - 1
+
+    assert chunk_of(earlier) < chunk_of(later)
+    value = rc.ratio_cut(g, rc.Partition(earlier, k))
+    assert rc.ratio_cut(g, rc.Partition(later, k)) == value
+    res = rc.min_ratio_cut_bruteforce(g, k)
     assert res.best.labels.tolist() == earlier
     assert res.value == res.runner_up == value
     assert not res.unique
-    check_against(res, g, *loop_minimum(g, 2), "twins")
 
 
 def test_bruteforce_all_ties_across_many_blocks():

@@ -376,6 +376,8 @@ def test_gap_upper_bound_validation():
     w[0, 1] = w[1, 0] = 1.0
     with pytest.raises(InputError):
         rc.gap_upper_bound_unweighted(rc.WeightedGraph(w))
+    with pytest.raises(InputError, match="2 vertices"):
+        rc.gap_upper_bound_unweighted(rc.WeightedGraph([[0.0]]))  # diameter 0
 
 
 def test_gap_exact_complete_graphs():

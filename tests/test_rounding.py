@@ -323,6 +323,8 @@ def test_kmeans_validation():
         rc.kmeans_round(points, 2, restarts=0)
     with pytest.raises(InputError):
         rc.kmeans_round(np.zeros(3), 1)
+    with pytest.raises(InputError, match="d >= 1"):
+        rc.kmeans_round(np.zeros((3, 0)), 2)  # no coordinate to cluster on
 
 
 def test_kmeans_objective_matches_definition():
