@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -74,17 +74,7 @@ class Certificate:
     singleton_blocks: list[int]
 
     def to_dict(self) -> dict:
-        return {
-            "d_delta": self.d_delta,
-            "lambda2s": self.lambda2s,
-            "max_d_delta": self.max_d_delta,
-            "min_lambda2": self.min_lambda2,
-            "ratio_r": self.ratio_r,
-            "passes": self.passes,
-            "strict": self.strict,
-            "margin": self.margin,
-            "singleton_blocks": self.singleton_blocks,
-        }
+        return asdict(self)
 
 
 def certificate(g: WeightedGraph, p: Partition) -> Certificate:

@@ -1,18 +1,14 @@
 """Dense symmetric eigendecomposition, the Laplacian eigenmap and block connectivities.
 
-``sym_eig`` hands the solve to LAPACK's divide-and-conquer routine
-(``?syevd``, through ``np.linalg.eigh``), then fixes eigenvector signs by a
-convention (largest-magnitude entry positive, ties broken by lowest index)
-and checks the residual and orthonormality of the result before returning
-it. Output is reproducible for a fixed input on a fixed build run with a
-fixed OpenBLAS thread count (``OPENBLAS_NUM_THREADS``): a different count
-can move the last bits.
-
-``lambda2`` and ``block_lambda2s`` give the algebraic connectivity of a
-graph and of every block of a partition. A validated graph's weights are
-exactly symmetric, so both hand its Laplacian (for a block, cut straight out
-of the graph's weights) to the same checked solve without the copy and
-symmetry pass of ``sym_eig``.
+Every spectrum comes from one checked solve: LAPACK's divide-and-conquer
+``?syevd`` (``np.linalg.eigh``), whose residual and orthonormality are
+checked before anything is returned. A validated graph's Laplacian (for a
+block, cut straight out of its weights) is exactly symmetric and goes to it
+directly; ``sym_eig``, for any other matrix, first applies the symmetry rule
+of ``WeightedGraph`` (``graphs.symmetrize``). Returned eigenvectors have
+their largest-magnitude entry (lowest index on ties) positive. Output is
+reproducible on a fixed build run with a fixed OpenBLAS thread count
+(``OPENBLAS_NUM_THREADS``): a different count can move the last bits.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SolverError
-from .graphs import Partition, WeightedGraph, check_partition, laplacian, weights_laplacian
+from .graphs import Partition, WeightedGraph, check_partition, laplacian, symmetrize, weights_laplacian
 from .tolerances import DEFAULT as TOL
 
 
@@ -38,8 +34,9 @@ def _check_decomposition(a: np.ndarray, values: np.ndarray, vectors: np.ndarray)
 
     Also when ``||a||_F`` overflows: a bound scaled by inf passes any residual.
     """
-    with np.errstate(over="ignore"):
-        scale = max(1.0, float(np.linalg.norm(a)))
+    with np.errstate(over="ignore"):  # norm taken at a power-of-two scale: exact, no square overflows
+        e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+        scale = max(1.0, float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e)))
     if not np.isfinite(scale):
         raise SolverError("matrix norm overflows, so the residual cannot be checked")
     residual = float(np.max(np.abs(a @ vectors - vectors * values), initial=0.0))
@@ -59,7 +56,7 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     Parameters
     ----------
     a : (n, n) array_like
-        Symmetric up to ``1e-10``; symmetrized exactly before solving.
+        Symmetric up to ``1e-10``; unequal pairs are averaged as in ``WeightedGraph``.
 
     Returns
     -------
@@ -82,9 +79,8 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.T), initial=0.0) > TOL.symmetry:
-        raise InputError("matrix is not symmetric")
-    values, vectors = _checked_eigh(0.5 * (a + a.T))
+    symmetrize(a)
+    values, vectors = _checked_eigh(a)
     return values, _fix_signs(vectors)
 
 
@@ -125,8 +121,8 @@ def eigenmap(g: WeightedGraph, k: int) -> Eigenmap:
     """Embedding by the eigenvectors of the k smallest Laplacian eigenvalues."""
     if not 1 <= k <= g.n:
         raise InputError(f"k must be in [1, {g.n}], got {k}")
-    values, vectors = sym_eig(laplacian(g))
-    return Eigenmap(U=vectors[:, :k], values=values[:k])
+    values, vectors = _checked_eigh(laplacian(g))
+    return Eigenmap(U=_fix_signs(vectors[:, :k]), values=values[:k])
 
 
 def lambda2(g: WeightedGraph) -> float:
@@ -159,5 +155,4 @@ def fiedler(g: WeightedGraph) -> np.ndarray:
     """Unit-norm eigenvector of the second-smallest Laplacian eigenvalue."""
     if g.n < 2:
         raise InputError("Fiedler vector needs at least 2 vertices")
-    _, vectors = sym_eig(laplacian(g))
-    return vectors[:, 1]
+    return eigenmap(g, 2).U[:, 1]

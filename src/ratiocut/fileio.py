@@ -74,6 +74,25 @@ def _parse_float(tok: str, path: str, line_no: int, col: int, what: str) -> floa
     return value
 
 
+def _read_lines(path: str) -> tuple[str, list[str]]:
+    """The file as UTF-8 text mode reads it, and its lines (no empty one after a
+    final newline). Raises FileFormatError at the first byte that is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        # read again: each undecodable byte becomes a lone surrogate, never valid UTF-8
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
+        pos = re.search("[\udc80-\udcff]", text).start()
+        raise _fail(path, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos),
+                    f"byte 0x{ord(text[pos]) - 0xDC00:02x} is not valid UTF-8") from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return text, lines
+
+
 def read_edge_list(path: str) -> WeightedGraph:
     """Parse an edge-list file into a graph.
 
@@ -82,11 +101,7 @@ def read_edge_list(path: str) -> WeightedGraph:
     FileFormatError
         With a ``path:line:col`` prefix on any malformed content.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    text, lines = _read_lines(path)
     if not lines:
         raise _fail(path, 1, 1, "empty file; expected header 'n m'")
     header = _tokens(lines[0])
@@ -172,10 +187,7 @@ def write_edge_list(path: str, g: WeightedGraph) -> None:
 
 def read_partition(path: str) -> Partition:
     """Parse a partition file; the block count is one plus the largest label."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    _, lines = _read_lines(path)
     if not lines:
         raise _fail(path, 1, 1, "empty partition file")
     labels = []

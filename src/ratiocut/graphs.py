@@ -43,15 +43,7 @@ class WeightedGraph:
             raise InputError(f"weights must be a square matrix, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise InputError("weights must be finite")
-        bits = w.view(np.int64)  # compared as bits, so -0.0 against 0.0 is averaged too
-        if not np.array_equal(bits, bits.T):
-            with np.errstate(over="ignore"):  # an infinite gap fails the check
-                gap = np.max(np.abs(w - w.T))
-            if gap > TOL.symmetry:
-                raise InputError("weight matrix is not symmetric")
-            # unequal entries within the tolerance lie below 2**19, so no sum overflows
-            i, j = np.nonzero(bits != bits.T)
-            w[i, j] = 0.5 * (w[i, j] + w[j, i])
+        symmetrize(w)
         np.fill_diagonal(w, 0.0)
         if np.any(w < 0):
             raise InputError("edge weights must be nonnegative")
@@ -70,6 +62,20 @@ class WeightedGraph:
         """True when every weight is exactly 0 or 1."""
         w = self.weights
         return bool(np.all((w == 0.0) | (w == 1.0)))
+
+
+def symmetrize(a: np.ndarray) -> None:
+    """Make the square float array ``a`` exactly symmetric in place, by the rule
+    that ``WeightedGraph`` documents; raises InputError beyond ``Tolerances.symmetry``."""
+    bits = a.view(np.int64)  # compared as bits, so -0.0 against 0.0 is averaged too
+    if not np.array_equal(bits, bits.T):
+        with np.errstate(over="ignore"):  # an infinite gap fails the check
+            gap = np.max(np.abs(a - a.T))
+        if gap > TOL.symmetry:
+            raise InputError("matrix is not symmetric")
+        # unequal entries within the tolerance lie below 2**19, so no sum overflows
+        i, j = np.nonzero(bits != bits.T)
+        a[i, j] = 0.5 * (a[i, j] + a[j, i])
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -134,15 +134,7 @@ class PerturbationReport:
     mu: float
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "r": self.r,
-            "precondition_ok": self.precondition_ok,
-            "bound": self.bound,
-            "measured": self.measured,
-            "gap_lower": self.gap_lower,
-            "mu": self.mu,
-        }
+        return asdict(self)
 
 
 def theoretical_bound(g: WeightedGraph, p: Partition) -> PerturbationReport:

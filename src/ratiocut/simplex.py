@@ -49,7 +49,7 @@ def gap_certificate(l: np.ndarray) -> tuple[np.ndarray, float]:
     ``lowers[i]`` bounds the pin-``i`` optimum from below by weak duality,
     so ``lowers.min()`` bounds the gap from below, and ``upper`` is the
     ratio ``||Lx||_inf / ||x - mean(x)||_inf`` of a real vector ``x``.
-    Raises SolverError when the inverse cannot be formed.
+    Raises SolverError when the inverse cannot be formed or leaves a zero or non-finite divisor.
     """
     n = l.shape[0]
     try:
@@ -59,6 +59,8 @@ def gap_certificate(l: np.ndarray) -> tuple[np.ndarray, float]:
     srt = np.sort(p, axis=0)
     w = p - 0.5 * (srt[(n - 1) // 2] + srt[n // 2])  # columns minus their medians
     dist = np.abs(w).sum(axis=0)  # min_a ||L^+ e_i - a 1||_1 per column
+    if not np.all((0.0 < dist) & (dist < np.inf)):
+        raise SolverError("a column of the Laplacian inverse is constant or not finite")
 
     # dual: y = w_i / ||w_i||_1 on the t-rows, nu1 = -1 / ||w_i||_1 and
     # nu0 = -nu1 / n, so that r vanishes up to rounding
@@ -73,5 +75,8 @@ def gap_certificate(l: np.ndarray) -> tuple[np.ndarray, float]:
     u[order[:half]] = -1.0
     u[order[n - half :]] = 1.0
     x = p @ u
-    upper = float(np.abs(l @ x).max()) / float(np.abs(x - x.mean()).max())
+    spread = float(np.abs(x - x.mean()).max())
+    if not 0.0 < spread < np.inf:
+        raise SolverError("the primal vector is constant or not finite")
+    upper = float(np.abs(l @ x).max()) / spread
     return lowers, upper

@@ -141,6 +141,18 @@ def test_malformed_file_exits_2_with_position(tmp_path, capsys):
     assert ":2:" in err  # line of the offending token
 
 
+def test_undecodable_file_exits_2_with_position(tmp_path, capsys):
+    g_path = tmp_path / "g.tsv"
+    g_path.write_text("3 2\n0 1 1.0\n1 2 1.0\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0\n\xff\n0\n")
+    for args in (["--input", bad, "--partition", bad], ["--input", g_path, "--partition", bad]):
+        code = run(["certify", *args, "--output", tmp_path / "c.json"])
+        assert code == 2
+        assert "bad.txt:2:1: byte 0xff is not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
+
 def test_unallocatable_header_exits_2(tmp_path, capsys):
     huge = tmp_path / "huge.tsv"
     huge.write_text("10000000000 0\n")

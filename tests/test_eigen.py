@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -165,8 +167,9 @@ def test_lambda2_zero_iff_disconnected():
 
 
 def test_lambda2_equals_the_sym_eig_value_bit_for_bit():
-    # lambda2 skips the copy and symmetrization of sym_eig, which change no
-    # bit of a validated graph's Laplacian
+    # lambda2, eigenmap and fiedler skip the copy and symmetry repair of
+    # sym_eig, which change no bit of a validated graph's Laplacian, and the
+    # sign convention acts on each column alone
     rng = np.random.default_rng(32)
     for trial in range(40):
         n = int(rng.integers(2, 30))
@@ -174,7 +177,12 @@ def test_lambda2_equals_the_sym_eig_value_bit_for_bit():
         if trial % 2:
             w *= rng.random((n, n)) * 10.0 ** rng.integers(-3, 4)
         g = rc.WeightedGraph(w + w.T)
-        assert rc.lambda2(g) == float(rc.sym_eig(rc.laplacian(g))[0][1])
+        values, vectors = rc.sym_eig(rc.laplacian(g))
+        assert rc.lambda2(g) == float(values[1])
+        for k in range(1, n + 1):
+            emb = rc.eigenmap(g, k)
+            assert np.array_equal(emb.U, vectors[:, :k]) and np.array_equal(emb.values, values[:k])
+        assert np.array_equal(rc.fiedler(g), vectors[:, 1])
 
 
 def test_lambda2_checks_its_solve(monkeypatch):
@@ -201,6 +209,39 @@ def test_solves_whose_matrix_norm_overflows_raise():
             eigen.block_lambda2s(g, rc.Partition([0, 0], 1))
         with pytest.raises(SolverError, match="overflows"):
             rc.eigenmap(g, 2)
+
+
+def test_solves_whose_squared_entries_overflow_are_checked():
+    # ||L||_F = 2e200 is finite although the squared entries overflow; the
+    # check takes the norm at a power-of-two scale, so nothing overflows
+    g = rc.WeightedGraph([[0.0, 1e200], [1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rc.lambda2(g) == 2e200
+        assert np.array_equal(eigen.block_lambda2s(g, rc.Partition([0, 0], 1)), [2e200])
+        emb = rc.eigenmap(g, 2)
+        assert np.array_equal(emb.values, [0.0, 2e200])
+        assert np.allclose(np.abs(emb.U), np.sqrt(0.5), rtol=1e-15)
+        assert np.allclose(rc.fiedler(g), [np.sqrt(0.5), -np.sqrt(0.5)], rtol=1e-15)
+        # ||A||_F = 1.41e308: finite, and symmetric pairs are kept as they are
+        # rather than summed
+        values, vectors = rc.sym_eig([[0.0, 1e308], [1e308, 0.0]])
+    assert np.array_equal(values, [-1e308, 1e308])
+    assert np.allclose(np.abs(vectors), np.sqrt(0.5), rtol=1e-15)
+
+
+def test_sym_eig_repairs_pairs_as_weighted_graph_does():
+    # each unequal pair becomes its average, -0.0 against 0.0 included, and
+    # equal pairs keep their bits
+    a = np.array([[2.0, 1.0 + 2e-11, -0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
+    repaired = a.copy()
+    repaired[0, 1] = repaired[1, 0] = 0.5 * (a[0, 1] + a[1, 0])
+    repaired[0, 2] = repaired[2, 0] = 0.0
+    values, vectors = rc.sym_eig(a)
+    expected_values, expected_vectors = np.linalg.eigh(repaired)
+    assert np.array_equal(values, expected_values)
+    assert np.array_equal(vectors, eigen._fix_signs(expected_vectors))
+    assert a[0, 1] == 1.0 + 2e-11  # the input is not written
 
 
 def test_fiedler_vector():

@@ -5,6 +5,8 @@ pinned program's optimum and the ratio ||Lx||_inf / ||x - mean(x)||_inf of
 one real vector, an upper bound on the gap (the smallest optimum over all
 pins). HiGHS solves the same programs as an independent route.
 """
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,36 @@ def test_corrupted_solve_makes_gap_exit_4(tmp_path, monkeypatch, capsys):
     assert main(["gap", "--input", str(g_path), "--output", str(tmp_path / "o.json")]) == 4
     assert "did not close" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
+
+
+def huge_weight_graphs():
+    """Connected graphs with weights near 1e300, where the ``+ 1/n`` of
+    ``inv(L + 11^T / n)`` swamps ``L^+``: a column of the inverse, or the
+    primal vector built from it, comes out constant."""
+    graphs = []
+    rng = np.random.default_rng(0)
+    for draw in range(289):  # 8 vertices; draws 152, 232, 288 have a constant column
+        w = np.triu(rng.random((8, 8)) < 0.5, 1) * rng.uniform(1.8e299, 1e300, (8, 8))
+        i = np.arange(7)
+        w[i, i + 1] = np.maximum(w[i, i + 1], 1.8e299)
+        if draw in (152, 232, 288):
+            graphs.append(w + w.T)
+    rng = np.random.default_rng(1)
+    for draw in range(2463):  # draws 1724 and 2462 have a constant primal vector
+        n = int(rng.integers(3, 12))
+        lo = 10.0 ** rng.uniform(290, 300)
+        w = np.triu((rng.random((n, n)) < rng.uniform(0.2, 1)) * rng.uniform(lo, 5 * lo, (n, n)), 1)
+        i = np.arange(n - 1)
+        w[i, i + 1] = np.maximum(w[i, i + 1], lo)
+        if draw in (1724, 2462):
+            graphs.append(w + w.T)
+    return graphs
+
+
+def test_constant_inverse_raises_solver_error_before_dividing():
+    for weights in huge_weight_graphs():
+        g = rc.WeightedGraph(weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="constant"):
+                rc.gap_exact(g)

@@ -106,6 +106,21 @@ def test_read_partition_errors(tmp_path):
         rc.read_partition(str(path))
 
 
+def test_readers_report_the_first_undecodable_byte(tmp_path):
+    # the position counts characters, as every other position does: "é" is
+    # one column, and "\r\n" ends a line as in text mode
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"2 1\r\n0 1 \xc3\xa9\xff 1.0\n")
+    with pytest.raises(FileFormatError, match=r"g\.txt:2:6: byte 0xff is not valid UTF-8"):
+        rc.read_edge_list(str(path))
+    path.write_bytes(b"\xfe2 1\n0 1 1.0\n")
+    with pytest.raises(FileFormatError, match=r"g\.txt:1:1: byte 0xfe "):
+        rc.read_edge_list(str(path))
+    path.write_bytes(b"0\n1\n\xed\xa0\x80\n")  # an encoded surrogate is not UTF-8 either
+    with pytest.raises(FileFormatError, match=r"g\.txt:3:1: byte 0xed "):
+        rc.read_partition(str(path))
+
+
 def test_format_float():
     assert format_float(1.0) == "1"
     assert format_float(0.5) == "0.5"

@@ -8,7 +8,8 @@ Every Laplacian spectrum comes from ``eigen``: no module other than
 ``eigen.py`` calls ``sym_eig`` or an eigensolver (``eigh``, ``eigvalsh``)
 directly; the others ask ``eigen`` for the quantity (``lambda2``,
 ``fiedler``, ``eigenmap``, ``block_lambda2s``) they need, so every solve
-passes its residual check.
+passes its residual check. Inside ``eigen.py`` one checked solve makes the
+only ``eigh`` call.
 
 Every small threshold lives in ``Tolerances``: no module other than
 ``tolerances.py`` spells out a float literal with ``0 < |x| < 1e-3``.
@@ -74,6 +75,12 @@ def test_only_eigen_calls_sym_eig():
     assert sources
     calls = [c for path in sources for c in _spectrum_calls(path)]
     assert calls == []
+
+
+def test_eigen_solves_by_one_checked_route():
+    # inside eigen.py only _checked_eigh calls eigh, and nothing calls
+    # sym_eig: it is the door for matrices from outside the library
+    assert [c.split(": ")[1] for c in _spectrum_calls(PACKAGE / "eigen.py")] == ["eigh call"]
 
 
 def test_spectrum_rule_detects_direct_and_qualified_calls(tmp_path):
