@@ -18,7 +18,7 @@ import numpy as np
 
 from .eigen import block_lambda2s, lambda2
 from .errors import SingletonBlockWarning
-from .graphs import Partition, WeightedGraph, check_partition, cut_weight
+from .graphs import Partition, WeightedGraph, cross_weights, cut_weight
 from .tolerances import DEFAULT as TOL
 
 
@@ -28,9 +28,7 @@ def boundary_degrees(g: WeightedGraph, p: Partition) -> np.ndarray:
     Entry ``i`` is the total weight from vertex ``i`` to vertices outside
     its block, the boundary degree.
     """
-    check_partition(g, p)
-    same_block = p.labels[:, None] == p.labels[None, :]
-    return np.where(same_block, 0.0, g.weights).sum(axis=1)
+    return cross_weights(g, p).sum(axis=1)
 
 
 def intra_connectivities(g: WeightedGraph, p: Partition) -> np.ndarray:

@@ -70,7 +70,7 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     InputError
-        If ``a`` is not square or not symmetric.
+        If ``a`` is not square, not finite or not symmetric.
     SolverError
         If LAPACK fails, if ``||A||_F`` overflows, or if
         ``max|A V - V diag(values)|`` exceeds ``eigen_residual * max(1,

@@ -217,13 +217,10 @@ def write_partition(path: str, p: Partition) -> None:
 
 
 def _write_embedding(path: str, u: np.ndarray) -> None:
-    """Write embedding coordinates, one tab-separated row per vertex."""
+    """Write finite embedding coordinates, one tab-separated row per vertex."""
     n, k = u.shape
-    if np.all(np.isfinite(u)):
-        # "%.12g" spells a finite float as format_float does, in one call
-        text = ("\t".join(["%.12g"] * k) + "\n") * n % tuple(u.ravel().tolist())
-    else:
-        text = "".join("\t".join(format_float(x) for x in row) + "\n" for row in u)
+    # "%.12g" spells a finite float as format_float does, in one call
+    text = ("\t".join(["%.12g"] * k) + "\n") * n % tuple(u.ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

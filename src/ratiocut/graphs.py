@@ -32,7 +32,8 @@ class WeightedGraph:
     Raises
     ------
     InputError
-        If the matrix is not square, not symmetric, or has negative entries.
+        If the matrix is not square, not finite, not symmetric, or has
+        negative entries.
     """
 
     weights: np.ndarray
@@ -41,8 +42,6 @@ class WeightedGraph:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise InputError(f"weights must be a square matrix, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise InputError("weights must be finite")
         symmetrize(w)
         np.fill_diagonal(w, 0.0)
         if np.any(w < 0):
@@ -66,7 +65,10 @@ class WeightedGraph:
 
 def symmetrize(a: np.ndarray) -> None:
     """Make the square float array ``a`` exactly symmetric in place, by the rule
-    that ``WeightedGraph`` documents; raises InputError beyond ``Tolerances.symmetry``."""
+    that ``WeightedGraph`` documents; raises InputError on a non-finite entry
+    or beyond ``Tolerances.symmetry``."""
+    if not np.all(np.isfinite(a)):
+        raise InputError("matrix entries must be finite")
     bits = a.view(np.int64)  # compared as bits, so -0.0 against 0.0 is averaged too
     if not np.array_equal(bits, bits.T):
         with np.errstate(over="ignore"):  # an infinite gap fails the check
@@ -119,14 +121,10 @@ class Partition:
 
     def canonical_labels(self) -> np.ndarray:
         """Relabel blocks by first occurrence (restricted-growth form)."""
-        mapping: dict[int, int] = {}
-        out = np.empty(self.n, dtype=int)
-        for i, lab in enumerate(self.labels):
-            lab = int(lab)
-            if lab not in mapping:
-                mapping[lab] = len(mapping)
-            out[i] = mapping[lab]
-        return out
+        _, first, inverse = np.unique(self.labels, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=int)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return rank[inverse]
 
 
 def same_partition(p: Partition, q: Partition) -> bool:
@@ -182,14 +180,38 @@ def cut_weight(g: WeightedGraph, subset) -> float:
     return float(g.weights[np.ix_(mask, ~mask)].sum())
 
 
+def cross_weights(g: WeightedGraph, p: Partition) -> np.ndarray:
+    """The weights between different blocks of ``p``, zero within each block."""
+    check_partition(g, p)
+    return np.where(p.labels[:, None] == p.labels[None, :], 0.0, g.weights)
+
+
 def ratio_cut(g: WeightedGraph, p: Partition) -> float:
     """Sum over blocks of the boundary weight divided by the block size."""
     check_partition(g, p)
-    total = 0.0
-    for j in range(p.k):
-        mask = p.labels == j
-        size = int(mask.sum())
-        total += float(g.weights[np.ix_(mask, ~mask)].sum()) / size
+    return float(ratio_cuts(g.weights, p.labels[None, :], p.k)[0])
+
+
+def ratio_cuts(w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Ratio cut of every row of ``labels``, a ``(rows, n)`` array whose rows
+    each leave none of the blocks ``0..k-1`` empty; ``w`` is not validated again.
+
+    The one arithmetic of the ratio cut, so every caller gets the same bits:
+    block j's cut sums the ``(size, n - size)`` submatrix of ``w``, members
+    and non-members ascending, as one row-major run, for all rows that share
+    the block's size at once; the quotients are added block by block from 0.0.
+    """
+    total = np.zeros(len(labels))
+    for j in range(k):
+        inside = labels == j
+        size = inside.sum(axis=1)
+        order = np.argsort(~inside, axis=1, kind="stable")  # members first, both sides ascending
+        cut = np.empty(len(labels))
+        for a in np.unique(size).tolist():
+            rows = np.flatnonzero(size == a)
+            idx = order[rows]
+            cut[rows] = w[idx[:, :a, None], idx[:, None, a:]].reshape(len(rows), -1).sum(axis=1)
+        total += cut / size
     return total
 
 

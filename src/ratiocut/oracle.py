@@ -17,11 +17,11 @@ pairs of a chunk of prefixes and the suffixes is one small matrix product
 per block: the prefix side holds the weight from the block's prefix
 vertices and from the rest of the prefix to each suffix vertex, the suffix
 side the indicators of the block and of its complement. No term is
-negative, so each batch value is within a small relative error of what
-``graphs.ratio_cut`` computes. Each scored chunk is filtered once; only the
-strings that could change the best or the runner-up get label rows, and
-they are rescored in one batch that repeats ``ratio_cut``'s arithmetic bit
-for bit, so the result is the one the plain per-partition loop gives.
+negative, so each batch value is within a small relative error of the
+exact value. Each scored chunk is filtered once; only the strings that could
+change the best or the runner-up get label rows, and they are rescored in
+one batch by ``graphs.ratio_cuts``, the kernel behind ``graphs.ratio_cut``,
+so the result is the one the plain per-partition loop gives.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InputError, SizeError
-from .graphs import Partition, WeightedGraph
+from .graphs import Partition, WeightedGraph, ratio_cuts
 from .tolerances import DEFAULT as TOL
 
 MAX_ENUM_N = 14
@@ -178,36 +178,14 @@ def _batch_ratio_cuts(w: np.ndarray, st: _Strings) -> Iterator[tuple[int, np.nda
         yield first, total
 
 
-def _exact_ratio_cuts(w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """``graphs.ratio_cut`` of every row of ``labels``, bit for bit.
-
-    Each block's cut sums the same ``(size, n - size)`` submatrix, members
-    and non-members ascending, in the same order as ``ratio_cut``, for all
-    rows that share the block's size at once; the quotients are added block
-    by block from 0.0, as there.
-    """
-    total = np.zeros(len(labels))
-    for j in range(k):
-        inside = labels == j
-        size = inside.sum(axis=1)
-        order = np.argsort(~inside, axis=1, kind="stable")  # members first, both sides ascending
-        cut = np.empty(len(labels))
-        for a in np.unique(size).tolist():
-            rows = np.flatnonzero(size == a)
-            idx = order[rows]
-            cut[rows] = w[idx[:, :a, None], idx[:, None, a:]].reshape(len(rows), -1).sum(axis=1)
-        total += cut / size
-    return total
-
-
 def _batch_rel(n: int) -> float:
-    """Relative distance within which a batch value and ``ratio_cut`` agree, doubled.
+    """Relative distance within which a batch value and ``graphs.ratio_cuts`` agree, doubled.
 
     With ``s <= n // 2``, a weight passes at most 2n - 1 additions on its way
     into a block's cut in ``_batch_ratio_cuts``: 2p - 2 for PP (2s - 2 for
     SS, p - 1 for A and B) and 2s + 1 in the product. With the division and
     the k - 1 additions over the blocks, a batch value rounds at most
-    2n + k times; ``ratio_cut`` rounds at most n * n / 4 + k + 1 times. All
+    2n + k times; ``ratio_cuts`` rounds at most n * n / 4 + k + 1 times. All
     terms are nonnegative and each rounding is by at most eps / 2, so for
     k <= n this covers both twice over.
     """
@@ -281,7 +259,7 @@ def min_ratio_cut_bruteforce(g: WeightedGraph, k: int) -> OracleResult:
         if pos.size == 0:
             continue
         labels = st.labels(first + pos // width, pos % width)
-        exact = _exact_ratio_cuts(g.weights, labels, k)
+        exact = ratio_cuts(g.weights, labels, k)
         i = int(np.argmin(exact))  # the first of equal minima, as in enumeration order
         if exact[i] < best_v:
             best = labels[i]

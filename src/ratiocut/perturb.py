@@ -26,7 +26,10 @@ import numpy as np
 from .certify import certificate, intra_connectivities
 from .eigen import eigenmap, lambda2
 from .errors import DegenerateAlignmentWarning, HypothesisViolation, InputError, SizeError, SolverError
-from .graphs import Partition, WeightedGraph, check_partition, diameter, is_connected, laplacian
+from .graphs import (
+    Partition, WeightedGraph, check_partition, cross_weights, diameter, is_connected, laplacian,
+    weights_laplacian,
+)
 from .simplex import gap_certificate
 from .tolerances import DEFAULT as TOL
 
@@ -53,12 +56,8 @@ class IsoDelta:
 
 def split_iso_delta(g: WeightedGraph, p: Partition) -> IsoDelta:
     """Decompose ``g`` into intra-block weights and the cross-block Laplacian."""
-    check_partition(g, p)
-    same_block = p.labels[:, None] == p.labels[None, :]
-    w_iso = np.where(same_block, g.weights, 0.0)
-    w_delta = g.weights - w_iso
-    l_delta = np.diag(w_delta.sum(axis=1)) - w_delta
-    return IsoDelta(w_iso=WeightedGraph(w_iso), l_delta=l_delta)
+    w_delta = cross_weights(g, p)
+    return IsoDelta(w_iso=WeightedGraph(g.weights - w_delta), l_delta=weights_laplacian(w_delta))
 
 
 def canonical_uiso(p: Partition) -> np.ndarray:
@@ -214,8 +213,6 @@ def gap_upper_bound_unweighted(g: WeightedGraph) -> float:
         raise InputError("upper bound needs at least 2 vertices")
     if not g.is_unweighted():
         raise InputError("upper bound requires an unweighted graph")
-    if not is_connected(g):
-        raise InputError("upper bound requires a connected graph")
     return 4.0 * float(g.degrees().max()) / diameter(g)
 
 

@@ -90,6 +90,16 @@ def test_sym_eig_input_validation():
         rc.sym_eig(a)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sym_eig_rejects_nonfinite_entries_as_input(bad):
+    # a non-finite entry is bad input, caught by the shared symmetry rule
+    # before any solve, not a solver failure
+    with pytest.raises(InputError, match="finite"):
+        rc.sym_eig([[bad, 1.0], [1.0, 0.0]])
+    with pytest.raises(InputError, match="finite"):
+        rc.sym_eig([[0.0, bad], [bad, 0.0]])
+
+
 def test_sym_eig_rejects_corrupted_basis(monkeypatch):
     a = random_symmetric(np.random.default_rng(31), 8)
     eigh = np.linalg.eigh

@@ -118,6 +118,23 @@ def test_canonical_labels_first_occurrence():
     assert list(p.canonical_labels()) == [0, 0, 1, 2, 1]
 
 
+def canonical_labels_by_loop(labels):
+    """Reference: number the blocks in order of first occurrence, one vertex at a time."""
+    mapping = {}
+    return [mapping.setdefault(int(lab), len(mapping)) for lab in labels]
+
+
+def test_canonical_labels_match_the_first_occurrence_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        k = int(rng.integers(1, n + 1))
+        labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+        out = rc.Partition(labels, k).canonical_labels()
+        assert out.dtype == int
+        assert out.tolist() == canonical_labels_by_loop(labels), labels
+
+
 def test_same_partition_up_to_relabeling():
     p = rc.Partition(np.array([0, 0, 1, 1]), 2)
     q = rc.Partition(np.array([1, 1, 0, 0]), 2)

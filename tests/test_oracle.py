@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ratiocut as rc
-from ratiocut import oracle
+from ratiocut import graphs, oracle
 from ratiocut.errors import InputError, SizeError
 
 SWEEP = Path(__file__).parent / "data" / "oracle_sweep.json"
@@ -312,7 +312,18 @@ def test_batch_values_within_rel_of_ratio_cut_at_every_split():
             assert seen == [tuple(p.labels.tolist()) for p in rc.enumerate_partitions(n, k)], (n, k, s)
 
 
+def ratio_cut_by_blocks(w, labels, k):
+    """Reference: each block's boundary submatrix summed on its own, added from 0.0."""
+    total = 0.0
+    for j in range(k):
+        mask = labels == j
+        total += float(w[np.ix_(mask, ~mask)].sum()) / int(mask.sum())
+    return total
+
+
 def test_exact_batch_rescoring_is_bit_identical_to_ratio_cut():
+    # the oracle's finalists are rescored by graphs.ratio_cuts, which must
+    # give the per-block sums bit for bit, in batches whose rows mix block sizes
     rng = np.random.default_rng(8)
     for trial in range(120):
         n = int(rng.integers(1, 15))
@@ -323,9 +334,10 @@ def test_exact_batch_rescoring_is_bit_identical_to_ratio_cut():
         labels = rng.integers(0, k, (60, n))
         labels[:, :k] = np.arange(k)  # no block empty
         labels = labels.astype(np.int8)
-        batch = oracle._exact_ratio_cuts(g.weights, labels, k)
-        exact = [rc.ratio_cut(g, rc.Partition(row, k)) for row in labels]
+        batch = graphs.ratio_cuts(g.weights, labels, k)
+        exact = [ratio_cut_by_blocks(g.weights, row, k) for row in labels]
         assert batch.tolist() == exact, (trial, n, k)
+        assert [rc.ratio_cut(g, rc.Partition(row, k)) for row in labels] == exact, (trial, n, k)
 
 
 def test_tie_across_chunks_keeps_the_earlier_partition():

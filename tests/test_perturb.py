@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import ratiocut as rc
+from ratiocut import graphs
 from ratiocut.errors import (
     DegenerateAlignmentWarning,
     HypothesisViolation,
@@ -72,6 +73,20 @@ def test_split_reconstructs_and_row_sums():
     assert np.allclose(
         rc.laplacian(g), rc.laplacian(iso.w_iso) + iso.l_delta, atol=1e-12
     )
+
+
+def test_split_delta_is_the_laplacian_of_the_cross_weights():
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        k = int(rng.integers(1, n + 1))
+        w = np.triu(rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+        g = rc.WeightedGraph(w + w.T)
+        p = rc.Partition(rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)])), k)
+        iso = rc.split_iso_delta(g, p)
+        cross = graphs.cross_weights(g, p)
+        assert np.array_equal(iso.l_delta, graphs.weights_laplacian(cross))
+        assert np.array_equal(rc.boundary_degrees(g, p), cross.sum(axis=1))
 
 
 def linf_operator_norm(m):
