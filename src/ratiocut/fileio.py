@@ -11,11 +11,13 @@ label present.
 The writers emit one canonical spelling: tokens separated by single spaces,
 every line ended by ``\n``, integers without sign or leading zeros, and
 weights as ``repr`` spells them (``0.5``, ``1.0``, ``1e-05``, ``5e-324``).
-An edge list whose body lines (the lines after the header) are all canonical
-is read in one vectorised numpy pass. Any other spelling goes through a
-token-by-token loop: valid ones (tabs, repeated blanks, ``+1``, ``1.5E3``,
-no final newline) read to the same values, and that loop is the only place
-that reports a malformed body.
+Both readers first hand the lines to numpy's C text reader, which splits
+fields at single spaces and also takes ``+1``, ``01``, ``.5``, ``5.``,
+``1.5E3`` and whitespace other than space or tab around a value, then
+checks every value and range. Any spelling it declines (tabs, repeated or
+leading blanks, ``_`` in numbers, non-ASCII digits, blank lines) goes
+through a token-by-token loop that reads valid ones to the same values,
+and that loop is the only place that reports malformed content.
 
 Embedding format: one row per vertex, coordinates separated by tabs and
 spelled as in the JSON outputs.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 
@@ -37,15 +40,11 @@ from .graphs import Partition, WeightedGraph
 
 _TOKEN = re.compile(r"\S+")
 
-# One canonical edge line as the writer spells it, newline included. ASCII
-# digits only: ``\d`` would also match digits of other scripts, which int()
-# accepts. At most 18 digits keep every index inside int64. A body is
-# canonical when deleting every match leaves nothing; one pattern repeated
-# over the whole body would keep backtracking state for every line (1.5 MB
-# for an 80 kB edge list), and ``*+`` needs Python 3.11.
-_INT = r"(?:0|[1-9][0-9]{0,17})"
-_WEIGHT = r"(?:(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-][0-9]{2,3})"
-_EDGE_LINE = re.compile(rf"{_INT} {_INT} {_WEIGHT}\n")
+# One row per line of a file, as numpy's text reader parses it.
+_EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+# One field, not plain int64: loadtxt squeezes a single row of plain values
+# to a vector, so ["0 1", ""] would read as two labels.
+_LABEL_ROW = np.dtype([("label", np.int64)])
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:
@@ -74,8 +73,8 @@ def _parse_float(tok: str, path: str, line_no: int, col: int, what: str) -> floa
     return value
 
 
-def _read_lines(path: str) -> tuple[str, list[str]]:
-    """The file as UTF-8 text mode reads it, and its lines (no empty one after a
+def _read_lines(path: str) -> list[str]:
+    """The lines of the file as UTF-8 text mode reads it (no empty one after a
     final newline). Raises FileFormatError at the first byte that is not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -90,7 +89,26 @@ def _read_lines(path: str) -> tuple[str, list[str]]:
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    return text, lines
+    return lines
+
+
+def _loadtxt(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """One record per line, fields at single spaces, as numpy's C reader parses
+    them; None where it declines, warns or skips a blank line.
+
+    Floats go through ``PyOS_string_to_double``, as ``float()`` does, so a
+    value it returns is the one the token loop would read. It takes fewer
+    spellings than the loop (no tabs, repeated blanks, ``_`` or non-ASCII
+    digits) and never raises, so the loop stays the one reporter of faults.
+    """
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data", or an index spelled 1.0 on numpy < 2
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=" ", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    return rows if len(rows) == len(lines) else None
 
 
 def read_edge_list(path: str) -> WeightedGraph:
@@ -101,7 +119,7 @@ def read_edge_list(path: str) -> WeightedGraph:
     FileFormatError
         With a ``path:line:col`` prefix on any malformed content.
     """
-    text, lines = _read_lines(path)
+    lines = _read_lines(path)
     if not lines:
         raise _fail(path, 1, 1, "empty file; expected header 'n m'")
     header = _tokens(lines[0])
@@ -122,27 +140,24 @@ def read_edge_list(path: str) -> WeightedGraph:
         raise _fail(
             path, 1, header[0][1], f"vertex count {n} is too large for an n-by-n weight matrix"
         ) from None
-    if not _canonical_edges(text[len(lines[0]) + 1:], weights):
+    if m and not _numpy_edges(lines[1:], weights):
         _edge_lines(path, lines[1:], weights)
     return WeightedGraph(weights)
 
 
-def _canonical_edges(body: str, weights: np.ndarray) -> bool:
-    """Fill ``weights`` from a canonical edge-list body in whole-array steps.
+def _numpy_edges(lines: list[str], weights: np.ndarray) -> bool:
+    """Fill ``weights`` from edge lines that numpy's reader takes and that are valid.
 
-    Returns False on anything but a valid canonical body and never raises,
-    so that ``_edge_lines`` stays the one reporter of malformed content.
-    ``weights`` is written only once grammar and ranges pass; a False after
-    that (a duplicate or a zero weight) leaves it unspecified, and the
-    token loop then raises.
+    Returns False otherwise and never raises, so that ``_edge_lines`` stays
+    the one reporter of malformed content. ``weights`` is written only once
+    the values and ranges pass; a False after that (a duplicate or a weight
+    that underflowed to 0) leaves it unspecified, and the token loop then raises.
     """
-    if _EDGE_LINE.sub("", body):
+    rows = _loadtxt(lines, _EDGE_ROW)
+    if rows is None:
         return False
-    toks = body.split()
-    i = np.array(toks[0::3], dtype=np.int64)
-    j = np.array(toks[1::3], dtype=np.int64)
-    w = np.fromiter(map(float, toks[2::3]), dtype=float, count=len(i))
-    if not np.all((i < j) & (j < weights.shape[0]) & (w < math.inf)):
+    i, j, w = rows["i"], rows["j"], rows["w"]
+    if not np.all((0 <= i) & (i < j) & (j < weights.shape[0]) & (0 < w) & (w < math.inf)):
         return False
     weights[i, j] = w
     weights[j, i] = w
@@ -178,18 +193,29 @@ def _edge_lines(path: str, lines: list[str], weights: np.ndarray) -> None:
 def write_edge_list(path: str, g: WeightedGraph) -> None:
     """Write a graph in edge-list format with round-trip float precision."""
     rows, cols = np.nonzero(np.triu(g.weights, k=1))
-    lines = [f"{g.n} {rows.size}"]
-    for i, j in zip(rows, cols):
-        lines.append(f"{i} {j} {float(g.weights[i, j])!r}")
+    edges = map("{} {} {!r}\n".format, rows.tolist(), cols.tolist(), g.weights[rows, cols].tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{g.n} {rows.size}\n" + "".join(edges))
 
 
 def read_partition(path: str) -> Partition:
     """Parse a partition file; the block count is one plus the largest label."""
-    _, lines = _read_lines(path)
+    lines = _read_lines(path)
     if not lines:
         raise _fail(path, 1, 1, "empty partition file")
+    rows = _loadtxt(lines, _LABEL_ROW)
+    labels = None if rows is None else rows["label"]
+    if labels is None or not np.all((0 <= labels) & (labels < len(lines))):
+        labels = _partition_labels(path, lines)
+    try:
+        return Partition(labels, int(labels.max()) + 1)
+    except InputError as exc:
+        raise FileFormatError(f"{path}:1:1: {exc}") from exc
+
+
+def _partition_labels(path: str, lines: list[str]) -> np.ndarray:
+    """Parse labels token by token, raising on the first fault or on a label
+    too large for the number of lines."""
     labels = []
     for line_no, line in enumerate(lines, start=1):
         toks = _tokens(line)
@@ -205,10 +231,7 @@ def read_partition(path: str) -> Partition:
         col = _tokens(lines[line_no - 1])[0][1]
         raise _fail(path, line_no, col, f"block label {k - 1} needs {k} blocks, "
                     f"but {len(labels)} labels fill at most {len(labels)}")
-    try:
-        return Partition(np.array(labels), k)
-    except InputError as exc:
-        raise FileFormatError(f"{path}:1:1: {exc}") from exc
+    return np.array(labels)
 
 
 def write_partition(path: str, p: Partition) -> None:

@@ -187,9 +187,17 @@ def cross_weights(g: WeightedGraph, p: Partition) -> np.ndarray:
 
 
 def ratio_cut(g: WeightedGraph, p: Partition) -> float:
-    """Sum over blocks of the boundary weight divided by the block size."""
+    """Sum over blocks of the boundary weight divided by the block size.
+
+    The arithmetic of ``ratio_cuts`` for one row, without its grouping of
+    rows by block size.
+    """
     check_partition(g, p)
-    return float(ratio_cuts(g.weights, p.labels[None, :], p.k)[0])
+    total = 0.0
+    for j in range(p.k):
+        inside = p.labels == j
+        total += g.weights[np.ix_(inside, ~inside)].sum() / np.count_nonzero(inside)
+    return float(total)
 
 
 def ratio_cuts(w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:

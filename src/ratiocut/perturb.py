@@ -38,26 +38,25 @@ GAP_EXACT_MAX_N = 200
 
 @dataclass(frozen=True)
 class IsoDelta:
-    """Intra-cluster weights plus the Laplacian of the cross-cluster rest.
+    """Intra-cluster weights plus the cross-cluster rest.
 
     ``w_iso`` keeps only edges inside blocks (block-diagonal weight matrix);
-    ``l_delta`` is the Laplacian of everything removed, so the full graph
-    Laplacian equals laplacian(w_iso) + l_delta.
+    ``w_delta`` holds everything removed, and ``l_delta`` is its Laplacian, so
+    the full graph Laplacian equals laplacian(w_iso) + l_delta.
     """
 
     w_iso: WeightedGraph
-    l_delta: np.ndarray
+    w_delta: np.ndarray
 
     @property
-    def w_delta(self) -> np.ndarray:
-        deg = np.diag(self.l_delta).copy()
-        return np.diag(deg) - self.l_delta
+    def l_delta(self) -> np.ndarray:
+        return weights_laplacian(self.w_delta)
 
 
 def split_iso_delta(g: WeightedGraph, p: Partition) -> IsoDelta:
-    """Decompose ``g`` into intra-block weights and the cross-block Laplacian."""
+    """Decompose ``g`` into intra-block and cross-block weights."""
     w_delta = cross_weights(g, p)
-    return IsoDelta(w_iso=WeightedGraph(g.weights - w_delta), l_delta=weights_laplacian(w_delta))
+    return IsoDelta(w_iso=WeightedGraph(g.weights - w_delta), w_delta=w_delta)
 
 
 def canonical_uiso(p: Partition) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,24 +181,27 @@ def test_write_embedding_matches_format_float_per_value(tmp_path):
 
 # ------------------------------------------------- fast path vs token loop
 #
-# An edge list in the spelling the writer emits is read in one numpy pass;
-# everything else goes through the token loop, the only error reporter. The
-# loop alone is the reference: forcing the fast path to decline must change
-# neither a value nor an error message.
+# Edge lists and partitions are read by numpy's text reader where it takes
+# the spelling; everything else goes through the token loops, the only error
+# reporters. The loops alone are the reference: forcing the fast path to
+# decline must change neither a value nor an error message.
 
 
-def _outcome(path):
+def _outcome(read, path):
     try:
-        return "ok", rc.read_edge_list(path).weights.tobytes()
+        result = read(path)
     except FileFormatError as exc:
         return "error", str(exc)
+    if isinstance(result, rc.Partition):
+        return "ok", result.labels.tobytes(), result.k
+    return "ok", result.weights.tobytes()
 
 
-def _both_routes(monkeypatch, path):
-    fast = _outcome(path)
+def _both_routes(monkeypatch, path, read=rc.read_edge_list):
+    fast = _outcome(read, path)
     with monkeypatch.context() as mp:
-        mp.setattr(fileio, "_canonical_edges", lambda body, weights: False)
-        loop = _outcome(path)
+        mp.setattr(fileio, "_loadtxt", lambda lines, dtype: None)
+        loop = _outcome(read, path)
     return fast, loop
 
 
@@ -258,6 +262,20 @@ EDGE_CORPUS = [
     BASE_EDGES.replace("0 1 0.5", "0 1"),
     BASE_EDGES.replace("0 1", "0 \u0661"),  # an Arabic-Indic digit, which int() reads
     BASE_EDGES + "\n",
+    # spellings aimed at numpy's reader: blank lines it skips, comments,
+    # integers spelled as floats, and whitespace it strips around a value
+    "3 1\n\n",
+    BASE_EDGES.replace("2 3 1e-05", "   "),
+    BASE_EDGES.replace("1 10 2.0\n", "\n"),
+    BASE_EDGES.replace("0 1 0.5", " 0 1 0.5"),
+    BASE_EDGES.replace("0.5", "0.5#x"),
+    BASE_EDGES.replace("0 1 0.5", "0 1.0 0.5"),
+    BASE_EDGES.replace("0 1 0.5", "0 1e0 0.5"),
+    BASE_EDGES.replace("0.5", ".5"),
+    BASE_EDGES.replace("0.5", "5."),
+    BASE_EDGES.replace("0.5", "0.5\x0b"),
+    BASE_EDGES.replace("0 1", "-1 1"),
+    BASE_EDGES.replace("2.0", "-2.0"),
 ]
 
 
@@ -267,6 +285,72 @@ def test_fast_reader_and_token_loop_agree_on_edge_corpus(tmp_path, monkeypatch, 
     path.write_bytes(text.encode("utf-8"))
     fast, loop = _both_routes(monkeypatch, str(path))
     assert fast == loop
+
+
+BASE_LABELS = "0\n1\n2\n1\n0\n"
+
+PARTITION_CORPUS = [
+    BASE_LABELS,
+    BASE_LABELS.replace("2", "+2"),
+    BASE_LABELS.replace("2", "02"),
+    BASE_LABELS.replace("2", " 2"),
+    BASE_LABELS.replace("2", "1 2"),
+    BASE_LABELS.replace("2", "1\t2"),
+    BASE_LABELS.replace("2", "-1"),
+    BASE_LABELS.replace("2", "2.0"),
+    BASE_LABELS.replace("2", "\u0662"),  # an Arabic-Indic digit, which int() reads
+    BASE_LABELS.replace("2\n", "\n"),
+    "\n",
+    "0 1\n\n",  # plain int64 loadtxt squeezes the one row it keeps to two labels
+    BASE_LABELS.rstrip("\n"),
+    BASE_LABELS.replace("2", "3"),  # block 2 left empty
+    BASE_LABELS.replace("2", "5"),  # more blocks than lines
+    BASE_LABELS.replace("2", "99999999999999999999"),
+]
+
+
+@pytest.mark.parametrize("text", PARTITION_CORPUS)
+def test_fast_reader_and_token_loop_agree_on_partition_corpus(tmp_path, monkeypatch, text):
+    path = tmp_path / "p.txt"
+    path.write_bytes(text.encode("utf-8"))
+    fast, loop = _both_routes(monkeypatch, str(path), rc.read_partition)
+    assert fast == loop
+
+
+def test_readers_let_no_warning_escape_on_the_corpora(tmp_path):
+    # numpy's reader warns on a file of blank lines, and older releases on an
+    # index spelled 1.0; the fast path must decline there without a trace
+    path = tmp_path / "in.txt"
+    for read, corpus in ((rc.read_edge_list, EDGE_CORPUS), (rc.read_partition, PARTITION_CORPUS)):
+        for text in corpus:
+            path.write_bytes(text.encode("utf-8"))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    read(str(path))
+                except FileFormatError:
+                    pass
+            assert caught == [], (text, [str(w.message) for w in caught])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    read(str(path))
+                except FileFormatError:
+                    pass
+
+
+def test_canonical_partitions_never_reach_the_token_loop(tmp_path, monkeypatch):
+    def loop(*args):
+        raise AssertionError("token loop reached on a canonical partition file")
+
+    monkeypatch.setattr(fileio, "_partition_labels", loop)
+    rng = np.random.default_rng(12)
+    for n, k in ((1, 1), (2, 2), (7, 3), (60, 5), (200, 11)):
+        p = rc.Partition(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]), k)
+        path = str(tmp_path / "p.txt")
+        rc.write_partition(path, p)
+        back = rc.read_partition(path)
+        assert np.array_equal(back.labels, p.labels) and back.k == k
 
 
 def test_canonical_files_never_reach_the_token_loop(tmp_path, monkeypatch):

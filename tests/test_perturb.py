@@ -85,6 +85,7 @@ def test_split_delta_is_the_laplacian_of_the_cross_weights():
         p = rc.Partition(rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)])), k)
         iso = rc.split_iso_delta(g, p)
         cross = graphs.cross_weights(g, p)
+        assert np.array_equal(iso.w_delta, cross)
         assert np.array_equal(iso.l_delta, graphs.weights_laplacian(cross))
         assert np.array_equal(rc.boundary_degrees(g, p), cross.sum(axis=1))
 
