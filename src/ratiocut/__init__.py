@@ -33,6 +33,7 @@ from .fileio import (
     read_edge_list,
     read_partition,
     write_edge_list,
+    write_embedding,
     write_json,
     write_partition,
 )
@@ -145,6 +146,7 @@ __all__ = [
     "two_to_inf_error",
     "two_to_inf_norm",
     "write_edge_list",
+    "write_embedding",
     "write_json",
     "write_partition",
 ]

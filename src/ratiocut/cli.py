@@ -141,7 +141,7 @@ def cmd_oracle(args) -> int:
 def cmd_eigenmap(args) -> int:
     g = fileio.read_edge_list(args.input)
     emb = eigenmap(g, args.k)
-    fileio._write_embedding(args.output, emb.U)
+    fileio.write_embedding(args.output, emb.U)
     print(f"wrote {emb.n}x{emb.k} embedding to {args.output}")
     return 0
 

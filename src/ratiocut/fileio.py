@@ -239,7 +239,7 @@ def write_partition(path: str, p: Partition) -> None:
         fh.write("\n".join(str(int(lab)) for lab in p.labels) + "\n")
 
 
-def _write_embedding(path: str, u: np.ndarray) -> None:
+def write_embedding(path: str, u: np.ndarray) -> None:
     """Write finite embedding coordinates, one tab-separated row per vertex."""
     n, k = u.shape
     # "%.12g" spells a finite float as format_float does, in one call

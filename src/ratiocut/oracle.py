@@ -20,8 +20,9 @@ side the indicators of the block and of its complement. No term is
 negative, so each batch value is within a small relative error of the
 exact value. Each scored chunk is filtered once; only the strings that could
 change the best or the runner-up get label rows, and they are rescored in
-one batch by ``graphs.ratio_cuts``, the kernel behind ``graphs.ratio_cut``,
-so the result is the one the plain per-partition loop gives.
+one batch by ``graphs.ratio_cuts``, whose arithmetic ``graphs.ratio_cut``
+shares bit for bit, so the result is the one the plain per-partition loop
+gives.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ MAX_ENUM_N = 14
 
 # most suffixes, k ** s: the suffix side of the products stays small and in cache
 _TABLE_ROWS = 1024
-# prefix x suffix pairs scored and filtered per chunk of prefixes: the three
-# chunk buffers (64 kB each) stay in cache, and every string of a chunk is
+# prefix x suffix pairs scored and filtered per chunk of prefixes: a chunk's
+# arrays (64 kB each) stay in cache, and every string of a chunk is
 # rescored when all of them tie; four times as many took a third less time
 # at n = 14, k = 4 but raised its peak memory by about half a megabyte
 _CHUNK_ROWS = 8192
@@ -146,18 +147,11 @@ def _batch_ratio_cuts(w: np.ndarray, st: _Strings) -> Iterator[tuple[int, np.nda
     k, p = st.k, st.p
     s = st.suffixes.shape[1]
     w_pp, w_ps, w_ss = w[:p, :p], w[:p, p:], w[p:, p:]
-    right = np.empty((k, 2 * s + 2, len(st.suffixes)))
-    h = right[:, s : 2 * s]
-    h[...] = _indicators(st.suffixes.T, k)
-    np.subtract(1.0, h, out=right[:, :s])
-    right[:, 2 * s] = 1.0
+    h = _indicators(st.suffixes.T, k)
+    right = np.concatenate([1.0 - h, h, np.ones((k, 2, len(st.suffixes)))], axis=1)
     right[:, 2 * s + 1] = np.einsum("jit,jit->jt", h, w_ss @ right[:, :s])
     right_size = h.sum(axis=1)
     chunk = max(1, _CHUNK_ROWS // len(st.suffixes))
-    # one set of chunk buffers for the whole scan, so no chunk allocates anew
-    values = np.empty((min(chunk, len(st.prefixes)), len(st.suffixes)))
-    cut = np.empty_like(values)
-    size = np.empty_like(values)
     for first in range(0, len(st.prefixes), chunk):
         h = _indicators(st.prefixes[first : first + chunk], k)
         rest = 1.0 - h
@@ -165,16 +159,11 @@ def _batch_ratio_cuts(w: np.ndarray, st: _Strings) -> Iterator[tuple[int, np.nda
         one = np.ones(h.shape[:2] + (1,))
         left = np.concatenate([h @ w_ps, rest @ w_ps, pp[..., None], one], axis=2)
         left_size = h.sum(axis=2)
-        x = h.shape[1]
-        total = values[:x]
-        total[...] = 0.0
+        total = np.zeros((h.shape[1], len(st.suffixes)))
         with np.errstate(divide="ignore", invalid="ignore"):  # a block left empty: not admitted
             for j in range(k):
-                np.matmul(left[j], right[j], out=cut[:x])
-                np.add(left_size[j, :, None], right_size[j], out=size[:x])
-                cut[:x] /= size[:x]
-                total += cut[:x]
-        np.copyto(total, np.inf, where=~st.admits[st.used[first : first + chunk]])
+                total += left[j] @ right[j] / (left_size[j, :, None] + right_size[j])
+        total[~st.admits[st.used[first : first + chunk]]] = np.inf
         yield first, total
 
 

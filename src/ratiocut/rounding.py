@@ -96,19 +96,14 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     Each pass assigns, checks the cost and moves the centroids of all
     restarts still running; a restart stops once its assignment is stable or
     the iteration cap is hit. Returns labels (r, n), costs (r,) and
-    iterations (r,). Each restart's arithmetic is that of running it alone,
-    ``argmin`` of ``((x - c) ** 2).sum()`` and ``mean`` of the members:
-    ``_sq_dists`` sums along the coordinate axis as that sum does, and a
-    centroid is its members' sum in index order over their count. A single
-    column is the exception: ``mean`` sums it pairwise, so those centroids
-    come from ``mean`` itself.
+    iterations (r,). Each restart's arithmetic is that of running it alone:
+    ``argmin`` of ``((x - c) ** 2).sum()``, which ``_sq_dists`` sums along
+    the coordinate axis as that sum does, and centroids from the product of
+    its (k, n) membership indicators with the points over the member counts.
     """
-    n, d = points.shape
+    n = points.shape[0]
     r, k, _ = centroids.shape
-    w = d + 1
-    # each restart's rows of [points, 1], whose last column counts members
-    ext = np.tile(np.hstack([points, np.ones((n, 1))]), (r, 1)).ravel()
-    offsets = (w * k * np.arange(r))[:, None, None] + np.arange(w)
+    clusters = np.arange(k)[:, None]
     out_labels = np.empty((r, n), dtype=np.intp)
     out_centroids = np.empty_like(centroids)
     iterations = np.full(r, MAX_LLOYD_ITERATIONS)
@@ -135,13 +130,12 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
             active, centroids, labels, new_labels, dist, cost = (
                 x[:f] for x in (active, centroids, labels, new_labels, dist, cost))
         prev = cost
-        a = active.size
-        sums = _block_sums(ext, new_labels, offsets[:a], k)
-        empty = sums[:, :, d] == 0
+        members = (new_labels[:, None, :] == clusters).astype(float)
+        empty = ~members.any(axis=2)
         if empty.any():
             for i in np.flatnonzero(empty.any(axis=1)):
                 _reseed_empty(points, centroids[i], new_labels[i], dist[i], np.flatnonzero(empty[i]))
-            sums = _block_sums(ext, new_labels, offsets[:a], k)
+            members = (new_labels[:, None, :] == clusters).astype(float)
         stable = (new_labels == labels).all(axis=1)
         if stable.any():
             done = active[stable]
@@ -149,15 +143,12 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
             out_centroids[done] = centroids[stable]
             iterations[done] = it
             keep = ~stable
-            active, centroids, new_labels, sums, prev = (
-                x[keep] for x in (active, centroids, new_labels, sums, prev))
+            active, centroids, new_labels, members, prev = (
+                x[keep] for x in (active, centroids, new_labels, members, prev))
             if active.size == 0:
                 break
         labels = new_labels
-        if d == 1:
-            centroids = np.array([[points[row == j].mean(axis=0) for j in range(k)] for row in labels])
-        else:
-            centroids = sums[:, :, :d] / sums[:, :, d:]
+        centroids = members @ points / members.sum(axis=2, keepdims=True)
     else:
         out_labels[active] = labels
         out_centroids[active] = centroids
@@ -172,14 +163,6 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared distances of every point to every centroid of every restart,
     shape (r, k, n), each summed over its coordinates as for one point."""
     return np.square(points[:, None, :] - centroids[:, None]).sum(axis=-1).transpose(0, 2, 1)
-
-
-def _block_sums(ext: np.ndarray, labels: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
-    """Column sums of each cluster's member rows of ``ext``, added in index
-    order, shape (r, k, w); ``offsets[r, 0, c]`` is ``r * k * w + c``."""
-    r, _, w = offsets.shape
-    bins = (labels * w)[:, :, None] + offsets
-    return np.bincount(bins.ravel(), weights=ext[: bins.size], minlength=r * k * w).reshape(r, k, w)
 
 
 def _reseed_empty(points, centroids, labels, dist, empty) -> None:

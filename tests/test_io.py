@@ -152,16 +152,16 @@ def test_canonical_json_rejects_non_string_keys():
 
 
 def test_write_json_trailing_newline(tmp_path):
-    path = str(tmp_path / "out.json")
-    rc.write_json(path, {"x": 1})
-    text = open(path).read()
+    path = tmp_path / "out.json"
+    rc.write_json(str(path), {"x": 1})
+    text = path.read_text()
     assert text.endswith("\n")
     assert json.loads(text) == {"x": 1}
 
 
 def test_write_embedding_spells_rows_as_json_floats(tmp_path):
     path = tmp_path / "emb.tsv"
-    fileio._write_embedding(str(path), np.array([[1.0, 0.5], [1 / 3, -2.0]]))
+    rc.write_embedding(str(path), np.array([[1.0, 0.5], [1 / 3, -2.0]]))
     assert path.read_bytes() == b"1\t0.5\n0.333333333333\t-2\n"
 
 
@@ -174,7 +174,7 @@ def test_write_embedding_matches_format_float_per_value(tmp_path):
     finite.flat[: len(awkward)] = awkward
     for idx, u in enumerate((finite, finite[:, :1])):
         path = tmp_path / f"emb{idx}.tsv"
-        fileio._write_embedding(str(path), u)
+        rc.write_embedding(str(path), u)
         want = "".join("\t".join(fileio.format_float(x) for x in row) + "\n" for row in u)
         assert path.read_text(encoding="utf-8") == want
 

@@ -312,6 +312,21 @@ def test_batch_values_within_rel_of_ratio_cut_at_every_split():
             assert seen == [tuple(p.labels.tolist()) for p in rc.enumerate_partitions(n, k)], (n, k, s)
 
 
+def test_batch_chunks_survive_the_next_chunk():
+    # each yielded chunk is its own array, so holding on to one is safe
+    rng = np.random.default_rng(12)
+    n, k = 12, 3
+    w = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+    g = rc.WeightedGraph(w + w.T)
+    st = oracle._Strings(n, k, oracle._split(n, k))
+    copied = [(first, values.copy()) for first, values in oracle._batch_ratio_cuts(g.weights, st)]
+    held = list(oracle._batch_ratio_cuts(g.weights, st))
+    assert len(held) > 1
+    assert [first for first, _ in held] == [first for first, _ in copied]
+    for (_, got), (_, want) in zip(held, copied):
+        assert got.tobytes() == want.tobytes()
+
+
 def ratio_cut_by_blocks(w, labels, k):
     """Reference: each block's boundary submatrix summed on its own, added from 0.0."""
     total = 0.0

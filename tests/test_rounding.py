@@ -160,8 +160,8 @@ def _reference_lloyd(points, centroids):
             break
         labels = new_labels
         iterations += 1
-        for j in range(k):
-            centroids[j] = points[labels == j].mean(axis=0)
+        members = (labels == np.arange(k)[:, None]).astype(float)
+        centroids = members @ points / members.sum(axis=1, keepdims=True)
     d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     cost = float(d2[np.arange(n), labels].sum())
     return labels, cost, iterations
@@ -216,9 +216,9 @@ def _block_embedding(rng, n, k):
 
 
 def test_batched_lloyd_matches_the_per_restart_loop():
-    # k = 1..9 takes in both summation traps: one coordinate (d = 1), whose
-    # mean numpy sums pairwise, and d >= 8, whose squared distances numpy
-    # sums pairwise; duplicate-heavy points leave clusters empty
+    # k = 1..9 takes in d >= 8, whose squared distances numpy sums pairwise,
+    # and one coordinate (d = 1), where the centroid product has a single
+    # column; duplicate-heavy points leave clusters empty
     iterations = []
     for k in range(1, 10):
         for seed in range(5):
@@ -301,18 +301,14 @@ def test_sq_dists_keep_the_coordinate_sum_of_one_point():
 
 
 def test_summation_traps_are_real():
-    # why the batched pass reduces as it does: the two shortcuts it avoids
-    # give different bits on ordinary data
+    # why _sq_dists reduces as it does: summing the squared coordinates with
+    # numpy's pairwise sum gives different bits on ordinary data
     rng = np.random.default_rng(9)
     sq = rng.random((500, 8)) * 10.0 ** rng.integers(-4, 4, size=(500, 8))
     left_to_right = sq[:, 0].copy()
     for c in range(1, 8):
         left_to_right += sq[:, c]
     assert np.any(left_to_right != sq.sum(axis=-1))
-    column = rng.normal(size=(200, 16))
-    in_order = np.array([np.bincount(np.zeros(16, dtype=int), weights=col)[0] / 16 for col in column])
-    pairwise = np.array([col[:, None].mean(axis=0)[0] for col in column])
-    assert np.any(in_order != pairwise)
 
 
 def test_kmeans_validation():
