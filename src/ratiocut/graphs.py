@@ -173,11 +173,10 @@ def cut_weight(g: WeightedGraph, subset) -> float:
     the Laplacian.
     """
     idx = _check_subset(g.n, subset)
-    if idx.size == 0 or idx.size == g.n:
-        return 0.0
-    mask = np.zeros(g.n, dtype=bool)
-    mask[idx] = True
-    return float(g.weights[np.ix_(mask, ~mask)].sum())
+    labels = np.ones((1, g.n), dtype=int)
+    labels[0, idx] = 0  # block 0 is the subset, block 1 the rest
+    cuts, _ = _block_cuts(g.weights, labels, 1)
+    return float(cuts[0, 0])
 
 
 def cross_weights(g: WeightedGraph, p: Partition) -> np.ndarray:
@@ -187,40 +186,43 @@ def cross_weights(g: WeightedGraph, p: Partition) -> np.ndarray:
 
 
 def ratio_cut(g: WeightedGraph, p: Partition) -> float:
-    """Sum over blocks of the boundary weight divided by the block size.
-
-    The arithmetic of ``ratio_cuts`` for one row, without its grouping of
-    rows by block size.
-    """
+    """Sum over blocks of the boundary weight divided by the block size:
+    ``ratio_cuts`` of the one row ``p.labels``."""
     check_partition(g, p)
-    total = 0.0
-    for j in range(p.k):
-        inside = p.labels == j
-        total += g.weights[np.ix_(inside, ~inside)].sum() / np.count_nonzero(inside)
-    return float(total)
+    return float(ratio_cuts(g.weights, p.labels[None, :], p.k)[0])
 
 
 def ratio_cuts(w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Ratio cut of every row of ``labels``, a ``(rows, n)`` array whose rows
     each leave none of the blocks ``0..k-1`` empty; ``w`` is not validated again.
 
-    The one arithmetic of the ratio cut, so every caller gets the same bits:
-    block j's cut sums the ``(size, n - size)`` submatrix of ``w``, members
-    and non-members ascending, as one row-major run, for all rows that share
-    the block's size at once; the quotients are added block by block from 0.0.
+    Each block's cut from ``_block_cuts`` over its size, added block by block
+    from 0.0: the one arithmetic of the ratio cut, so every caller gets the same bits.
     """
+    cuts, sizes = _block_cuts(w, labels, k)
     total = np.zeros(len(labels))
     for j in range(k):
+        total += cuts[:, j] / sizes[:, j]
+    return total
+
+
+def _block_cuts(w: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary weight and size of each block ``0..k-1`` in each row of
+    ``labels``, as two ``(rows, k)`` arrays, by the package's one boundary
+    sum: block j's cut sums the ``(size, n - size)`` submatrix of ``w``,
+    members and non-members ascending, as one row-major run, for all rows
+    that share the block's size at once. An empty block's cut is 0.0."""
+    cuts = np.empty((len(labels), k))
+    sizes = np.empty((len(labels), k), dtype=int)
+    for j in range(k):
         inside = labels == j
-        size = inside.sum(axis=1)
+        size = sizes[:, j] = inside.sum(axis=1)
         order = np.argsort(~inside, axis=1, kind="stable")  # members first, both sides ascending
-        cut = np.empty(len(labels))
-        for a in np.unique(size).tolist():
+        for a in set(size.tolist()):
             rows = np.flatnonzero(size == a)
             idx = order[rows]
-            cut[rows] = w[idx[:, :a, None], idx[:, None, a:]].reshape(len(rows), -1).sum(axis=1)
-        total += cut / size
-    return total
+            cuts[rows, j] = w[idx[:, :a, None], idx[:, None, a:]].reshape(len(rows), -1).sum(axis=1)
+    return cuts, sizes
 
 
 def induced_subgraph(g: WeightedGraph, subset) -> WeightedGraph:

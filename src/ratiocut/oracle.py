@@ -20,8 +20,8 @@ side the indicators of the block and of its complement. No term is
 negative, so each batch value is within a small relative error of the
 exact value. Each scored chunk is filtered once; only the strings that could
 change the best or the runner-up get label rows, and they are rescored in
-one batch by ``graphs.ratio_cuts``, whose arithmetic ``graphs.ratio_cut``
-shares bit for bit, so the result is the one the plain per-partition loop
+one batch by ``graphs.ratio_cuts``, the kernel that ``graphs.ratio_cut``
+runs on one row, so the result is the one the plain per-partition loop
 gives.
 """
 
@@ -174,9 +174,9 @@ def _batch_rel(n: int) -> float:
     into a block's cut in ``_batch_ratio_cuts``: 2p - 2 for PP (2s - 2 for
     SS, p - 1 for A and B) and 2s + 1 in the product. With the division and
     the k - 1 additions over the blocks, a batch value rounds at most
-    2n + k times; ``ratio_cuts`` rounds at most n * n / 4 + k + 1 times. All
-    terms are nonnegative and each rounding is by at most eps / 2, so for
-    k <= n this covers both twice over.
+    2n + k times; ``ratio_cuts``, the one ratio-cut kernel, rounds at most
+    n * n / 4 + k + 1 times. All terms are nonnegative and each rounding is
+    by at most eps / 2, so for k <= n this covers both twice over.
     """
     return (n * n + 4 * n) * float(np.finfo(float).eps)
 

@@ -149,8 +149,6 @@ def theoretical_bound(g: WeightedGraph, p: Partition) -> PerturbationReport:
     """
     check_partition(g, p)  # before the hypotheses, so a mismatch is an input error
     n = g.n
-    if n < 3:
-        raise HypothesisViolation("theorem needs at least 3 vertices")
     sizes = p.sizes()
     if sizes.min() < 3:
         raise HypothesisViolation(

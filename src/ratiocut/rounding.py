@@ -224,6 +224,7 @@ def spectral_cluster(
 
     ``method`` is "fiedler" (k = 2 only; objective is the ratio cut) or
     "kmeans" (objective is the k-means cost of the embedding rows).
+    ``seed`` and ``restarts`` apply to "kmeans" only; "fiedler" ignores them.
     """
     if method == "fiedler":
         if k != 2:

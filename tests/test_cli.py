@@ -93,6 +93,14 @@ def test_gap_command_weighted_graph_drops_upper(tmp_path):
     assert "lower" in payload and "exact" in payload
 
 
+def test_gap_single_vertex_exits_2(tmp_path, capsys):
+    g_path = tmp_path / "one.tsv"
+    g_path.write_text("1 0\n")
+    assert run(["gap", "--input", g_path, "--output", tmp_path / "gap.json"]) == 2
+    assert capsys.readouterr().err == "error: gap needs at least 2 vertices\n"
+    assert not (tmp_path / "gap.json").exists()
+
+
 def test_bound_command(tmp_path):
     g_path = tmp_path / "g.tsv"
     p_path = tmp_path / "p.txt"

@@ -327,19 +327,27 @@ def test_batch_chunks_survive_the_next_chunk():
         assert got.tobytes() == want.tobytes()
 
 
+def cut_by_mask(w, mask):
+    """Reference: one block's boundary submatrix, members and non-members ascending, summed on its own."""
+    return float(w[np.ix_(mask, ~mask)].sum())
+
+
 def ratio_cut_by_blocks(w, labels, k):
-    """Reference: each block's boundary submatrix summed on its own, added from 0.0."""
+    """Reference: each block's cut by ``cut_by_mask`` over its size, added from 0.0."""
     total = 0.0
     for j in range(k):
         mask = labels == j
-        total += float(w[np.ix_(mask, ~mask)].sum()) / int(mask.sum())
+        total += cut_by_mask(w, mask) / int(mask.sum())
     return total
 
 
 def test_exact_batch_rescoring_is_bit_identical_to_ratio_cut():
     # the oracle's finalists are rescored by graphs.ratio_cuts, which must
-    # give the per-block sums bit for bit, in batches whose rows mix block sizes
+    # give the per-block sums bit for bit, in batches whose rows mix block
+    # sizes; ratio_cut and cut_weight (block 0 against the rest, its subset
+    # given in any order) go through the same kernel
     rng = np.random.default_rng(8)
+    shuffle = np.random.default_rng(9)  # its own stream, so the graphs and rows do not depend on it
     for trial in range(120):
         n = int(rng.integers(1, 15))
         k = int(rng.integers(1, min(n, 5) + 1))
@@ -353,6 +361,8 @@ def test_exact_batch_rescoring_is_bit_identical_to_ratio_cut():
         exact = [ratio_cut_by_blocks(g.weights, row, k) for row in labels]
         assert batch.tolist() == exact, (trial, n, k)
         assert [rc.ratio_cut(g, rc.Partition(row, k)) for row in labels] == exact, (trial, n, k)
+        cuts = [rc.cut_weight(g, shuffle.permutation(np.flatnonzero(row == 0))) for row in labels]
+        assert cuts == [cut_by_mask(g.weights, row == 0) for row in labels], (trial, n, k)
 
 
 def test_tie_across_chunks_keeps_the_earlier_partition():

@@ -304,6 +304,10 @@ def test_theoretical_bound_rejects_tiny_blocks():
     g, p = rc.gen_example_blocks(1, 0.5)  # blocks of size 2
     with pytest.raises(HypothesisViolation):
         rc.theoretical_bound(g, p)
+    # fewer than 3 vertices always leaves a block below 3
+    pair = rc.WeightedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(HypothesisViolation, match="every block must have at least 3 vertices, smallest has 2"):
+        rc.theoretical_bound(pair, rc.Partition(np.array([0, 0]), 1))
 
 
 def test_theoretical_bound_rejects_zero_eigengap():
