@@ -65,14 +65,18 @@ def cmd_gen(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    if args.method == "fiedler" and (args.seed is not None or args.restarts is not None):
+        raise InputError("--seed and --restarts apply to --method kmeans only")
+    seed = 0 if args.seed is None else args.seed
+    restarts = 10 if args.restarts is None else args.restarts
     g = fileio.read_edge_list(args.input)
-    result = spectral_cluster(g, args.k, method=args.method, seed=args.seed, restarts=args.restarts)
+    result = spectral_cluster(g, args.k, method=args.method, seed=seed, restarts=restarts)
     fileio.write_partition(args.partition, result.partition)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "method": args.method,
         "k": args.k,
-        "seed": args.seed,
+        "seed": seed if args.method == "kmeans" else None,
         "objective": result.objective,
         "iterations": result.iterations,
         "restarts_used": result.restarts_used,
@@ -162,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--input", required=True, help="edge-list file to read")
     p_cluster.add_argument("--k", type=int, required=True)
     p_cluster.add_argument("--method", choices=["fiedler", "kmeans"], default="kmeans")
-    p_cluster.add_argument("--seed", type=int, default=0, help="k-means restart seed (kmeans only)")
-    p_cluster.add_argument("--restarts", type=int, default=10, help="k-means restarts (kmeans only)")
+    p_cluster.add_argument("--seed", type=int, help="k-means restart seed (kmeans only, default 0)")
+    p_cluster.add_argument("--restarts", type=int, help="k-means restarts (kmeans only, default 10)")
     p_cluster.add_argument("--partition", required=True, help="partition file to write")
     p_cluster.add_argument("--output", required=True, help="summary JSON to write")
 

@@ -206,6 +206,17 @@ def ratio_cuts(w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return total
 
 
+def ratio_cut_rel(n: int) -> float:
+    """Relative distance within which ``ratio_cuts`` and an estimate of a ratio
+    cut on n vertices agree, doubled: the one tie rule for ratio cuts.
+
+    The estimate must sum nonnegative terms, rounding each at most 2n + k
+    times; ``ratio_cuts`` rounds at most n * n / 4 + k + 1 times, each time
+    by at most eps / 2, so for k <= n this covers both twice over.
+    """
+    return (n * n + 4 * n) * float(np.finfo(float).eps)
+
+
 def _block_cuts(w: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Boundary weight and size of each block ``0..k-1`` in each row of
     ``labels``, as two ``(rows, k)`` arrays, by the package's one boundary

@@ -17,12 +17,12 @@ pairs of a chunk of prefixes and the suffixes is one small matrix product
 per block: the prefix side holds the weight from the block's prefix
 vertices and from the rest of the prefix to each suffix vertex, the suffix
 side the indicators of the block and of its complement. No term is
-negative, so each batch value is within a small relative error of the
-exact value. Each scored chunk is filtered once; only the strings that could
-change the best or the runner-up get label rows, and they are rescored in
-one batch by ``graphs.ratio_cuts``, the kernel that ``graphs.ratio_cut``
-runs on one row, so the result is the one the plain per-partition loop
-gives.
+negative, so each batch value is within ``graphs.ratio_cut_rel``, the one
+tie rule for ratio cuts, of the exact value. Each scored chunk is filtered
+once by that rule; only the strings that could change the best or the
+runner-up get label rows, and they are rescored in one batch by
+``graphs.ratio_cuts``, the kernel that ``graphs.ratio_cut`` runs on one
+row, so the result is the one the plain per-partition loop gives.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InputError, SizeError
-from .graphs import Partition, WeightedGraph, ratio_cuts
+from .graphs import Partition, WeightedGraph, ratio_cut_rel, ratio_cuts
 from .tolerances import DEFAULT as TOL
 
 MAX_ENUM_N = 14
@@ -143,6 +143,8 @@ def _batch_ratio_cuts(w: np.ndarray, st: _Strings) -> Iterator[tuple[int, np.nda
     row and a suffix-side column, where ``A`` and ``B`` hold the weight
     from the block's prefix vertices and from the other prefix vertices to
     each suffix vertex, and ``h`` is the suffix's indicator of the block.
+    With ``s <= n // 2``, a weight passes at most 2p - 2 + 2s + 1 additions
+    into a block's cut, so a value rounds at most 2n + k times.
     """
     k, p = st.k, st.p
     s = st.suffixes.shape[1]
@@ -167,26 +169,14 @@ def _batch_ratio_cuts(w: np.ndarray, st: _Strings) -> Iterator[tuple[int, np.nda
         yield first, total
 
 
-def _batch_rel(n: int) -> float:
-    """Relative distance within which a batch value and ``graphs.ratio_cuts`` agree, doubled.
-
-    With ``s <= n // 2``, a weight passes at most 2n - 1 additions on its way
-    into a block's cut in ``_batch_ratio_cuts``: 2p - 2 for PP (2s - 2 for
-    SS, p - 1 for A and B) and 2s + 1 in the product. With the division and
-    the k - 1 additions over the blocks, a batch value rounds at most
-    2n + k times; ``ratio_cuts``, the one ratio-cut kernel, rounds at most
-    n * n / 4 + k + 1 times. All terms are nonnegative and each rounding is
-    by at most eps / 2, so for k <= n this covers both twice over.
-    """
-    return (n * n + 4 * n) * float(np.finfo(float).eps)
-
-
 @dataclass(frozen=True)
 class OracleResult:
     """Exact minimizer with uniqueness information.
 
-    ``unique`` means no other enumerated partition came within 1e-9 of the
-    optimum. ``runner_up`` is the second smallest value over all enumerated
+    ``unique`` means every other enumerated partition's ratio cut exceeds
+    the optimum by more than ``Tolerances.inequality_slack`` (1e-9) times
+    the optimum, a rule that scaling the weights does not change.
+    ``runner_up`` is the second smallest value over all enumerated
     partitions, equal to the optimum when it is tied (None when only one
     partition exists).
     """
@@ -217,32 +207,28 @@ def min_ratio_cut_bruteforce(g: WeightedGraph, k: int) -> OracleResult:
 
     The strings are scored and filtered in chunks of consecutive strings; a
     string is rescored exactly and passed to the update only if its batch
-    value could make it the best or the runner-up. With ``slack =
-    inequality_slack * max(1, sum of degrees)`` bounding the batch error, a
-    string is skipped when its batch value exceeds the runner-up so far by
-    more than ``slack``, or its chunk's second smallest batch value by more
-    than ``2 * slack``: its ratio cut then lies above the final runner-up.
-    Once a runner-up exists, a string is also skipped when the relative
-    error of its batch value (sums of nonnegative terms on both sides) rules
-    out a ratio cut strictly below the runner-up, since the update would
-    then leave everything as it is. A NaN batch value, a weight sum that
-    overflowed to inf multiplied by 0, bounds nothing, so its string is
-    always rescored.
+    value could make it the best or the runner-up, by the one tie rule for
+    ratio cuts, ``rel = graphs.ratio_cut_rel(n)``. A string is skipped when
+    its batch value exceeds its chunk's second smallest value times
+    ``(1 + rel) ** 2``, as two strings of the chunk then have smaller ratio
+    cuts, or is not below the runner-up so far times ``1 + rel``, as the
+    update would then leave everything as it is. A NaN batch value, a weight sum that
+    overflowed to inf multiplied by 0, bounds nothing and is always rescored.
     """
     _check_size(g.n, k)
-    slack = TOL.inequality_slack * max(1.0, float(g.degrees().sum()))
-    rel = _batch_rel(g.n)
+    rel = ratio_cut_rel(g.n)
     st = _Strings(g.n, k, _split(g.n, k))
     width = len(st.suffixes)
     best = None
     best_v = np.inf
     second_v = np.inf
     for first, values in _batch_ratio_cuts(g.weights, st):
-        # the chunk's second smallest value, inf when it holds a single string
-        reach = min(second_v, float(np.partition(np.append(values, np.inf), 1)[1]) + slack)
+        # the chunk's second smallest value (inf when it holds a single
+        # string) widened by the rule; "not above" it keeps an all-zero chunk
+        reach = float(np.partition(np.append(values, np.inf), 1)[1]) * (1.0 + rel) ** 2
         # below second_v * (1 + rel), strictly, which keeps out the pairs
         # that are not admitted (inf) also while there is no runner-up
-        top = min(reach + slack, np.nextafter(second_v * (1.0 + rel), -np.inf))
+        top = min(reach, np.nextafter(second_v * (1.0 + rel), -np.inf))
         # "not above" keeps NaN
         pos = np.flatnonzero(~(values > top))
         if pos.size == 0:
@@ -256,7 +242,7 @@ def min_ratio_cut_bruteforce(g: WeightedGraph, k: int) -> OracleResult:
         best_v, second_v = float(low[0]), float(low[1])
     if best is None:
         raise InputError("every ratio cut overflows to inf; rescale the weights")
-    unique = second_v > best_v + TOL.inequality_slack
+    unique = second_v > best_v * (1.0 + TOL.inequality_slack)
     runner_up = None if np.isinf(second_v) else second_v
     return OracleResult(
         best=Partition(best, k),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .eigen import eigenmap, fiedler
 from .errors import DisconnectedGraphWarning, InputError, SolverError
-from .graphs import Partition, WeightedGraph, is_connected, ratio_cut
+from .graphs import Partition, WeightedGraph, is_connected, ratio_cut, ratio_cut_rel
 from .tolerances import DEFAULT as TOL
 
 MAX_LLOYD_ITERATIONS = 200
@@ -43,8 +43,9 @@ def fiedler_bisect(g: WeightedGraph) -> RoundingResult:
     """Best of the n-1 prefix bisections along the Fiedler ordering.
 
     Vertices are sorted by their second-eigenvector entry (ties broken by
-    vertex index); each prefix/suffix split is scored by ratio cut and the
-    smallest wins, earliest split on ties.
+    vertex index); each split's cut is a sum of nonnegative weights, and the
+    earliest split whose ratio cut is within ``graphs.ratio_cut_rel(n)`` of
+    the smallest wins, the one tie rule for ratio cuts.
     """
     n = g.n
     if n < 2:
@@ -56,18 +57,13 @@ def fiedler_bisect(g: WeightedGraph) -> RoundingResult:
         )
     order = np.argsort(fiedler(g), kind="stable")
     w = g.weights[np.ix_(order, order)]
-    deg = w.sum(axis=1)
-
-    best_t = 1
-    best_rc = math.inf
-    cut = 0.0
-    for t in range(1, n):
-        v = t - 1  # sorted position joining the prefix
-        cut += deg[v] - 2.0 * w[v, :v].sum()
-        rc = cut * (1.0 / t + 1.0 / (n - t))
-        if rc < best_rc - TOL.inequality_slack:
-            best_rc = rc
-            best_t = t
+    # beyond[v, t - 1] is the weight from v to sorted positions t..n-1, so the
+    # cut of the first t vertices sums column t - 1 over their rows
+    beyond = np.cumsum(w[:, :0:-1], axis=1)[:, ::-1]
+    cuts = np.cumsum(beyond, axis=0).diagonal()
+    t = np.arange(1, n)
+    scores = cuts / t + cuts / (n - t)
+    best_t = 1 + int(np.argmax(scores <= scores.min() * (1.0 + ratio_cut_rel(n))))
 
     labels = np.empty(n, dtype=int)
     labels[order[:best_t]] = 0
@@ -183,8 +179,9 @@ def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingR
     Restart 0 uses the deterministic farthest-first seeding; the rest draw
     k distinct points with a seeded generator. All restarts advance together
     in one batched Lloyd pass, with the same results as running them one
-    after another. The lowest-cost restart wins (lowest restart index on
-    ties), so results are reproducible for a fixed (seed, restarts) pair;
+    after another. The first restart within ``inequality_slack`` times the
+    one-cluster cost ``sum ||x - mean||^2`` of the lowest cost wins, a band
+    that does not change under translation and scales with the costs;
     ``iterations`` is the winner's Lloyd iteration count.
     """
     points = np.asarray(points, dtype=float)
@@ -206,14 +203,11 @@ def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingR
     group = max(1, LLOYD_BATCH_CELLS // starts[0].size // n)
     runs = [_lloyd(points, starts[t:t + group]) for t in range(0, restarts, group)]
     labels, costs, iterations = (np.concatenate(parts) for parts in zip(*runs))
-    costs = costs.tolist()
-    best = 0
-    for t in range(1, restarts):
-        if costs[t] < costs[best] - TOL.inequality_slack:
-            best = t
+    band = TOL.inequality_slack * float(np.square(points - points.mean(axis=0)).sum())
+    best = int(np.argmax(costs <= costs.min() + band))
     p = Partition(Partition(labels[best], k).canonical_labels(), k)
     return RoundingResult(
-        partition=p, objective=costs[best], iterations=int(iterations[best]), restarts_used=restarts
+        partition=p, objective=float(costs[best]), iterations=int(iterations[best]), restarts_used=restarts
     )
 
 

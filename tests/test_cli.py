@@ -214,6 +214,22 @@ def test_gen_rejects_seed_flag(tmp_path):
     assert exc.value.code == 2
 
 
+def test_fiedler_refuses_kmeans_flags(tmp_path, capsys):
+    g_path = tmp_path / "g.tsv"
+    assert run(["gen", "example-blocks", "--n", 2, "--c", 0.4,
+                "--output", g_path, "--partition", tmp_path / "p.txt"]) == 0
+    out = tmp_path / "s.json"
+    base = ["cluster", "--input", g_path, "--k", 2, "--method", "fiedler",
+            "--partition", tmp_path / "o.txt", "--output", out]
+    for flags in (["--seed", 0], ["--restarts", 10], ["--seed", 5, "--restarts", 3]):
+        capsys.readouterr()
+        assert run(base + flags) == 2, flags
+        assert capsys.readouterr().err == "error: --seed and --restarts apply to --method kmeans only\n"
+        assert not out.exists()
+    assert run(base) == 0
+    assert json.loads(out.read_text())["seed"] is None
+
+
 def test_solver_error_exits_4(tmp_path, monkeypatch, capsys):
     g_path = tmp_path / "g.tsv"
     run(["gen", "example-blocks", "--n", 1, "--c", 0.5,
@@ -306,8 +322,8 @@ def test_reused_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
 
     # main keeps the parser it built on its first call
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a second parser"))
-    first = cluster("--seed", 5, "--method", "fiedler", "--restarts", 3)
-    assert (first["seed"], first["method"]) == (5, "fiedler")
+    first = cluster("--method", "kmeans", "--seed", 5, "--restarts", 3)
+    assert (first["seed"], first["method"]) == (5, "kmeans")
     assert run(["certify", "--input", g_path, "--partition", p_path,
                 "--output", tmp_path / "c.json"]) == 0
     second = cluster()

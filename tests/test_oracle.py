@@ -232,7 +232,7 @@ def check_against(res, g, labels, value, runner_up, count, case):
     assert tuple(res.best.labels) == labels, case
     assert res.value == rc.ratio_cut(g, res.best) == value, case
     assert res.runner_up == runner_up, case
-    assert res.unique == (runner_up is None or runner_up > value + 1e-9), case
+    assert res.unique == (runner_up is None or runner_up > value * (1 + 1e-9)), case
     assert res.partitions_examined == count, case
 
 
@@ -295,7 +295,7 @@ def test_batch_values_within_rel_of_ratio_cut_at_every_split():
         wide = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), (n, n)))
         w = np.triu(wide * (rng.random((n, n)) < 0.7), 1)
         g = rc.WeightedGraph(w + w.T)
-        rel = oracle._batch_rel(n)
+        rel = graphs.ratio_cut_rel(n)
         for s in range(n):
             st = oracle._Strings(n, k, s)
             seen = []
@@ -310,6 +310,22 @@ def test_batch_values_within_rel_of_ratio_cut_at_every_split():
                 seen += map(tuple, labels.tolist())
             # every string exactly once, in enumeration order
             assert seen == [tuple(p.labels.tolist()) for p in rc.enumerate_partitions(n, k)], (n, k, s)
+
+
+def test_bruteforce_is_scale_equivariant():
+    # powers of two scale every ratio cut exactly, so the optimum, its value
+    # and its uniqueness must not move
+    rng = np.random.default_rng(19)
+    w = np.triu(rng.uniform(0.1, 2.0, (9, 9)) * (rng.random((9, 9)) < 0.6), 1)
+    for g in (rc.gen_example_blocks(2, 0.5)[0], rc.WeightedGraph(w + w.T)):
+        for k in (2, 3):
+            base = rc.min_ratio_cut_bruteforce(g, k)
+            for e in (-60, -40, -30, -20, 20, 60):
+                res = rc.min_ratio_cut_bruteforce(rc.WeightedGraph(g.weights * 2.0**e), k)
+                assert res.best.labels.tolist() == base.best.labels.tolist(), (k, e)
+                assert res.unique == base.unique, (k, e)
+                assert res.value == base.value * 2.0**e, (k, e)
+                assert res.runner_up == base.runner_up * 2.0**e, (k, e)
 
 
 def test_batch_chunks_survive_the_next_chunk():

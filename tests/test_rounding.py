@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ratiocut as rc
+from ratiocut import graphs
 from ratiocut.errors import DisconnectedGraphWarning, InputError, SolverError
 from ratiocut.rounding import MAX_LLOYD_ITERATIONS, _farthest_first, _lloyd, _sq_dists
 from ratiocut.tolerances import DEFAULT as TOL
@@ -45,7 +46,8 @@ def test_fiedler_bisect_example_blocks():
 
 
 def test_fiedler_bisect_no_prefix_split_is_better():
-    """Exhaustiveness: recompute every prefix split by brute force."""
+    """Exhaustiveness: recompute every prefix split by the kernel; the pick is
+    the earliest within ratio_cut_rel of the smallest."""
     rng = np.random.default_rng(6)
     w = np.triu(rng.uniform(0.1, 1, (9, 9)) * (rng.random((9, 9)) < 0.7), 1)
     g = rc.WeightedGraph(w + w.T)
@@ -53,11 +55,31 @@ def test_fiedler_bisect_no_prefix_split_is_better():
         pytest.skip("random draw came out disconnected")
     out = rc.fiedler_bisect(g)
     order = np.argsort(rc.fiedler(g), kind="stable")
+    splits = []
     for t in range(1, g.n):
         labels = np.zeros(g.n, dtype=int)
         labels[order[t:]] = 1
-        split = rc.Partition(labels, 2)
-        assert out.objective <= rc.ratio_cut(g, split) + 1e-9
+        splits.append(rc.Partition(labels, 2))
+    values = np.array([rc.ratio_cut(g, split) for split in splits])
+    t = int(np.argmax(values <= values.min() * (1 + graphs.ratio_cut_rel(g.n))))
+    assert rc.same_partition(out.partition, splits[t])
+    assert out.objective == values[t]
+
+
+# powers of two scale every sum, product and quotient exactly, so each tie
+# rule must give the same pick at every scale
+SCALES = (-60, -40, -30, -20, 20, 60)
+
+
+def test_fiedler_bisect_is_scale_equivariant():
+    rng = np.random.default_rng(19)
+    w = np.triu(rng.uniform(0.1, 2.0, (11, 11)) * (rng.random((11, 11)) < 0.6), 1)
+    for g in (rc.gen_example_blocks(3, 0.5)[0], rc.WeightedGraph(w + w.T), complete_graph(7)):
+        base = rc.fiedler_bisect(g)
+        for e in SCALES:
+            out = rc.fiedler_bisect(rc.WeightedGraph(g.weights * 2.0**e))
+            assert out.partition.labels.tolist() == base.partition.labels.tolist(), e
+            assert out.objective == base.objective * 2.0**e, e
 
 
 def test_fiedler_bisect_needs_two_vertices():
@@ -170,17 +192,17 @@ def _reference_lloyd(points, centroids):
 def _reference_kmeans(points, k, seed, restarts):
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    best = None
+    runs = []
     for t in range(restarts):
         if t == 0:
             centroids = _farthest_first(points, k)
         else:
             rng = np.random.default_rng([seed, t])
             centroids = points[rng.choice(n, size=k, replace=False)].copy()
-        labels, cost, iterations = _reference_lloyd(points, centroids.astype(float))
-        if best is None or cost < best[1] - TOL.inequality_slack:
-            best = (labels, cost, iterations)
-    labels, cost, iterations = best
+        runs.append(_reference_lloyd(points, centroids.astype(float)))
+    costs = np.array([cost for _, cost, _ in runs])
+    band = TOL.inequality_slack * float(np.square(points - points.mean(axis=0)).sum())
+    labels, cost, iterations = runs[int(np.argmax(costs <= costs.min() + band))]
     return rc.Partition(labels, k).canonical_labels(), cost, iterations
 
 
@@ -309,6 +331,17 @@ def test_summation_traps_are_real():
     for c in range(1, 8):
         left_to_right += sq[:, c]
     assert np.any(left_to_right != sq.sum(axis=-1))
+
+
+def test_kmeans_round_is_scale_equivariant():
+    rng = np.random.default_rng(40)
+    cases = [(rng.normal(size=(40, 2)), 5) for _ in range(4)] + [(_block_embedding(rng, 40, 4), 4)]
+    for points, k in cases:
+        base = rc.kmeans_round(points, k)
+        for e in SCALES:
+            out = rc.kmeans_round(points * 2.0**e, k)
+            assert out.partition.labels.tolist() == base.partition.labels.tolist(), e
+            assert out.objective == base.objective * 2.0 ** (2 * e), e
 
 
 def test_kmeans_validation():
