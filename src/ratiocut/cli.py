@@ -67,16 +67,14 @@ def cmd_gen(args) -> int:
 def cmd_cluster(args) -> int:
     if args.method == "fiedler" and (args.seed is not None or args.restarts is not None):
         raise InputError("--seed and --restarts apply to --method kmeans only")
-    seed = 0 if args.seed is None else args.seed
-    restarts = 10 if args.restarts is None else args.restarts
     g = fileio.read_edge_list(args.input)
-    result = spectral_cluster(g, args.k, method=args.method, seed=seed, restarts=restarts)
+    result = spectral_cluster(g, args.k, method=args.method, seed=args.seed, restarts=args.restarts)
     fileio.write_partition(args.partition, result.partition)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "method": args.method,
         "k": args.k,
-        "seed": seed if args.method == "kmeans" else None,
+        "seed": (0 if args.seed is None else args.seed) if args.method == "kmeans" else None,
         "objective": result.objective,
         "iterations": result.iterations,
         "restarts_used": result.restarts_used,

@@ -212,21 +212,25 @@ def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingR
 
 
 def spectral_cluster(
-    g: WeightedGraph, k: int, method: str = "kmeans", seed: int = 0, restarts: int = 10
+    g: WeightedGraph, k: int, method: str = "kmeans", seed: int | None = None, restarts: int | None = None
 ) -> RoundingResult:
     """Embed with the k-dimensional eigenmap, then round to a partition.
 
     ``method`` is "fiedler" (k = 2 only; objective is the ratio cut) or
     "kmeans" (objective is the k-means cost of the embedding rows).
-    ``seed`` and ``restarts`` apply to "kmeans" only; "fiedler" ignores them.
+    ``seed`` and ``restarts`` apply to "kmeans" only, where they default to
+    0 and 10; "fiedler" raises InputError when either is given.
     """
     if method == "fiedler":
+        if seed is not None or restarts is not None:
+            raise InputError("seed and restarts apply to method 'kmeans' only")
         if k != 2:
             raise InputError("fiedler bisection is defined only for k = 2")
         return fiedler_bisect(g)
     if method == "kmeans":
         emb = eigenmap(g, k)
-        return kmeans_round(emb.U, k, seed=seed, restarts=restarts)
+        return kmeans_round(emb.U, k, seed=0 if seed is None else seed,
+                            restarts=10 if restarts is None else restarts)
     raise InputError(f"unknown method {method!r}, expected 'fiedler' or 'kmeans'")
 
 

@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 import ratiocut as rc
+from ratiocut import eigen
+
+
+@pytest.fixture(autouse=True)
+def fresh_spectrum_memo():
+    """Start every test with an empty solve memo (``eigen._solve``), so a
+    test that patches the eigensolver reaches it whatever ran before."""
+    eigen._solve.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -404,6 +404,22 @@ def test_spectral_cluster_validation():
         rc.spectral_cluster(g, 2, method="ward")
 
 
+def test_fiedler_refuses_kmeans_arguments():
+    # seed and restarts belong to the Lloyd route; the Fiedler sweep has no
+    # use for them, so passing either is an error, not a silent no-op
+    g, _ = rc.gen_example_blocks(3, 0.5)
+    for kwargs in ({"seed": 7}, {"restarts": 0}, {"seed": 7, "restarts": 0}, {"seed": 0}):
+        with pytest.raises(InputError, match="kmeans"):
+            rc.spectral_cluster(g, 2, method="fiedler", **kwargs)
+    assert rc.same_partition(rc.spectral_cluster(g, 2, method="fiedler").partition,
+                             rc.fiedler_bisect(g).partition)
+    # kmeans fills in the documented defaults
+    default = rc.spectral_cluster(g, 2)
+    explicit = rc.spectral_cluster(g, 2, method="kmeans", seed=0, restarts=10)
+    assert np.array_equal(default.partition.labels, explicit.partition.labels)
+    assert (default.objective, default.restarts_used) == (explicit.objective, 10)
+
+
 def test_strict_certificates_round_to_the_optimum():
     # wherever the certificate is strict and n is small, rounding, the
     # oracle, and the planted labels must all coincide
@@ -416,8 +432,10 @@ def test_strict_certificates_round_to_the_optimum():
     ]
     for g, p in cases:
         assert rc.certificate(g, p).strict
-        method = "fiedler" if p.k == 2 else "kmeans"
-        rounded = rc.spectral_cluster(g, p.k, method=method, seed=0)
+        if p.k == 2:
+            rounded = rc.spectral_cluster(g, 2, method="fiedler")
+        else:
+            rounded = rc.spectral_cluster(g, p.k, method="kmeans", seed=0)
         exact = rc.min_ratio_cut_bruteforce(g, p.k)
         assert exact.unique
         assert rc.same_partition(rounded.partition, exact.best)
