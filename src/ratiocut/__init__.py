@@ -14,10 +14,9 @@ from .certify import (
     Certificate,
     boundary_degrees,
     certificate,
-    density_lower_bound_check,
     intra_connectivities,
 )
-from .eigen import Eigenmap, eigenmap, fiedler, lambda2, sym_eig
+from .eigen import Eigenmap, eigenmap, fiedler, lambda2
 from .errors import (
     DegenerateAlignmentWarning,
     DisconnectedGraphWarning,
@@ -40,7 +39,6 @@ from .fileio import (
 from .graphs import (
     Partition,
     WeightedGraph,
-    bfs_distances,
     connected_components,
     cut_weight,
     diameter,
@@ -56,15 +54,12 @@ from .graphs import (
 from .oracle import MAX_ENUM_N, OracleResult, enumerate_partitions, min_ratio_cut_bruteforce
 from .perturb import (
     GAP_EXACT_MAX_N,
-    IsoDelta,
     PerturbationReport,
     canonical_uiso,
     gap_exact,
     gap_lower_bound,
-    gap_lower_per_block,
     gap_upper_bound_unweighted,
     procrustes_align,
-    split_iso_delta,
     theoretical_bound,
     two_to_inf_error,
     two_to_inf_norm,
@@ -92,7 +87,6 @@ __all__ = [
     "GAP_EXACT_MAX_N",
     "HypothesisViolation",
     "InputError",
-    "IsoDelta",
     "MAX_ENUM_N",
     "OracleResult",
     "Partition",
@@ -104,14 +98,12 @@ __all__ = [
     "SolverError",
     "Tolerances",
     "WeightedGraph",
-    "bfs_distances",
     "boundary_degrees",
     "canonical_json",
     "canonical_uiso",
     "certificate",
     "connected_components",
     "cut_weight",
-    "density_lower_bound_check",
     "diameter",
     "eigenmap",
     "enumerate_partitions",
@@ -119,7 +111,6 @@ __all__ = [
     "fiedler_bisect",
     "gap_exact",
     "gap_lower_bound",
-    "gap_lower_per_block",
     "gap_upper_bound_unweighted",
     "gen_example_blocks",
     "gen_planted_blocks",
@@ -140,8 +131,6 @@ __all__ = [
     "recovery_diagnostics",
     "same_partition",
     "spectral_cluster",
-    "split_iso_delta",
-    "sym_eig",
     "theoretical_bound",
     "two_to_inf_error",
     "two_to_inf_norm",

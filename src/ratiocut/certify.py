@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import block_lambda2s, lambda2
+from .eigen import block_lambda2s
 from .errors import SingletonBlockWarning
-from .graphs import Partition, WeightedGraph, cross_weights, cut_weight
+from .graphs import Partition, WeightedGraph, cross_weights
 from .tolerances import DEFAULT as TOL
 
 
@@ -112,26 +111,4 @@ def certificate(g: WeightedGraph, p: Partition) -> Certificate:
         strict=strict,
         margin=margin,
         singleton_blocks=singletons,
-    )
-
-
-class DensityCheck(NamedTuple):
-    bound: float
-    actual: float
-    holds: bool
-
-
-def density_lower_bound_check(g: WeightedGraph, subset) -> DensityCheck:
-    """Check the connectivity-based lower bound on a cut.
-
-    Any vertex subset ``S`` satisfies
-    ``cut(S, complement) >= lambda2 * |S| * |complement| / n``;
-    this evaluates both sides for the given subset.
-    """
-    subset = np.asarray(subset, dtype=int)
-    s = len(subset)
-    bound = lambda2(g) * s * (g.n - s) / g.n
-    actual = cut_weight(g, subset)
-    return DensityCheck(
-        bound=bound, actual=actual, holds=actual >= bound - TOL.inequality_slack
     )

@@ -2,13 +2,12 @@
 
 Every spectrum comes from one checked solve: LAPACK's divide-and-conquer
 ``?syevd`` (``np.linalg.eigh``), whose residual and orthonormality are
-checked before anything is returned. A validated graph's Laplacian (for a
-block, cut straight out of its weights) is exactly symmetric and goes to it
-directly; ``sym_eig``, for any other matrix, first applies the symmetry rule
-of ``WeightedGraph`` (``graphs.symmetrize``). Returned eigenvectors have
-their largest-magnitude entry (lowest index on ties) positive. Output is
-reproducible on a fixed build run with a fixed OpenBLAS thread count
-(``OPENBLAS_NUM_THREADS``): a different count can move the last bits.
+checked before anything is returned. Its one input is a validated graph's
+Laplacian (for a block, cut straight out of its weights), which is exactly
+symmetric. Returned eigenvectors have their largest-magnitude entry (lowest
+index on ties) positive. Output is reproducible on a fixed build run with a
+fixed OpenBLAS thread count (``OPENBLAS_NUM_THREADS``): a different count
+can move the last bits.
 
 The checked solve is memoised: the last 8 solves are kept, keyed by the
 matrix's exact bytes, as read-only arrays, so the functions asked about one
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SolverError
-from .graphs import Partition, WeightedGraph, check_partition, laplacian, symmetrize, weights_laplacian
+from .graphs import Partition, WeightedGraph, check_partition, laplacian, weights_laplacian
 from .tolerances import DEFAULT as TOL
 
 
@@ -59,40 +58,6 @@ def _check_decomposition(a: np.ndarray, values: np.ndarray, vectors: np.ndarray)
         )
     if not ortho <= TOL.eigen_residual:
         raise SolverError(f"eigenvectors deviate from orthonormal by {ortho:.3g}")
-
-
-def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix.
-
-    Parameters
-    ----------
-    a : (n, n) array_like
-        Symmetric up to ``1e-10``; unequal pairs are averaged as in ``WeightedGraph``.
-
-    Returns
-    -------
-    values : (n,) ndarray
-        Eigenvalues in ascending order.
-    vectors : (n, n) ndarray
-        Orthonormal eigenvectors as columns, deterministic signs. Within a
-        repeated eigenvalue the basis is whichever one LAPACK returns; only
-        the spanned subspace is determined by ``a``.
-
-    Raises
-    ------
-    InputError
-        If ``a`` is not square, not finite or not symmetric.
-    SolverError
-        If LAPACK fails, if ``||A||_F`` overflows, or if
-        ``max|A V - V diag(values)|`` exceeds ``eigen_residual * max(1,
-        ||A||_F)`` or ``max|V^T V - I|`` exceeds ``eigen_residual``.
-    """
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {a.shape}")
-    symmetrize(a)
-    values, vectors = _checked_eigh(a)
-    return values.copy(), _fix_signs(vectors)
 
 
 def _checked_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -156,7 +156,11 @@ def weights_laplacian(w: np.ndarray) -> np.ndarray:
 
 
 def _check_subset(n: int, subset) -> np.ndarray:
-    idx = np.asarray(list(subset), dtype=int)
+    items = list(subset)
+    # a bool is an int to Python, but a mask or a float must not be read as indices
+    if any(isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) for v in items):
+        raise InputError("subset entries must be integer vertex indices")
+    idx = np.array(items, dtype=int)
     if idx.size == 0:
         return idx
     if idx.min() < 0 or idx.max() >= n:
@@ -284,13 +288,6 @@ def _bfs(adj: list[list[int]], source: int) -> list[int]:
                 dist[u] = dist[v] + 1
                 queue.append(u)
     return dist
-
-
-def bfs_distances(g: WeightedGraph, source: int) -> np.ndarray:
-    """Hop distance from ``source`` to every vertex; -1 where unreachable."""
-    if not 0 <= source < g.n:
-        raise InputError("source vertex out of range")
-    return np.array(_bfs(_neighbours(g), source), dtype=int)
 
 
 def diameter(g: WeightedGraph) -> int:

@@ -1,9 +1,10 @@
 """Subspace perturbation analysis for the Laplacian eigenmap.
 
-Splits a partitioned graph into its intra-cluster part and the cross-cluster
-remainder, aligns the computed eigenmap with the ideal block-indicator
-embedding by an orthogonal Procrustes rotation, and evaluates the
-two-to-infinity error bound
+Treats the cross-cluster weights of a partitioned graph as a perturbation
+of its intra-cluster part (the certificate supplies the ratio r of the two),
+aligns the computed eigenmap with the ideal block-indicator embedding by an
+orthogonal Procrustes rotation, and evaluates the two-to-infinity error
+bound
 
     ||U V~ - U_iso||_{2,inf} <= 32 sqrt(c) (r^2 + r ln n) / sqrt(n)
 
@@ -23,40 +24,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .certify import certificate, intra_connectivities
+from .certify import certificate
 from .eigen import eigenmap, lambda2
 from .errors import DegenerateAlignmentWarning, HypothesisViolation, InputError, SizeError, SolverError
-from .graphs import (
-    Partition, WeightedGraph, check_partition, cross_weights, diameter, is_connected, laplacian,
-    weights_laplacian,
-)
+from .graphs import Partition, WeightedGraph, check_partition, diameter, is_connected, laplacian
 from .simplex import gap_certificate
 from .tolerances import DEFAULT as TOL
 
 GAP_EXACT_MAX_N = 200
-
-
-@dataclass(frozen=True)
-class IsoDelta:
-    """Intra-cluster weights plus the cross-cluster rest.
-
-    ``w_iso`` keeps only edges inside blocks (block-diagonal weight matrix);
-    ``w_delta`` holds everything removed, and ``l_delta`` is its Laplacian, so
-    the full graph Laplacian equals laplacian(w_iso) + l_delta.
-    """
-
-    w_iso: WeightedGraph
-    w_delta: np.ndarray
-
-    @property
-    def l_delta(self) -> np.ndarray:
-        return weights_laplacian(self.w_delta)
-
-
-def split_iso_delta(g: WeightedGraph, p: Partition) -> IsoDelta:
-    """Decompose ``g`` into intra-block and cross-block weights."""
-    w_delta = cross_weights(g, p)
-    return IsoDelta(w_iso=WeightedGraph(g.weights - w_delta), w_delta=w_delta)
 
 
 def canonical_uiso(p: Partition) -> np.ndarray:
@@ -189,19 +164,6 @@ def gap_lower_bound(g: WeightedGraph) -> float:
     if g.n < 3:
         raise InputError("lower bound needs at least 3 vertices")
     return lambda2(g) / (2.0 * math.log(g.n))
-
-
-def gap_lower_per_block(g: WeightedGraph, p: Partition) -> np.ndarray:
-    """Per-block variant lambda2(L_i)/(2 ln |V_i|), a sharper diagnostic.
-
-    The block lambda2s come from ``intra_connectivities``, so a singleton
-    block reports +inf and raises the same SingletonBlockWarning as the
-    certificate.
-    """
-    lam = intra_connectivities(g, p)
-    # a singleton's lambda2 is already +inf; its log size 0 is kept out of
-    # the division so that no divide-by-zero warning is raised
-    return lam / (2.0 * np.log(np.maximum(p.sizes(), 2)))
 
 
 def gap_upper_bound_unweighted(g: WeightedGraph) -> float:

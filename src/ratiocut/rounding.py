@@ -187,11 +187,15 @@ def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingR
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] < 1:
         raise InputError(f"points must be an n-by-d matrix with d >= 1, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise InputError("points must be finite")
     n = points.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise InputError("restarts must be at least 1")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
 
     starts = [_farthest_first(points, k)]
     for t in range(1, restarts):

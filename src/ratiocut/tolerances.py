@@ -19,7 +19,7 @@ class Tolerances:
     certificate_comparison: float = 1e-12
     #: slack for inequality checks: relative to the optimum in the oracle's
     #: ``unique``, to the one-cluster cost in the k-means restart pick, and
-    #: absolute in the density, Lloyd cost and ball-membership checks
+    #: absolute in the Lloyd cost and ball-membership checks
     inequality_slack: float = 1e-9
     #: width, relative to max(1, value), a certified gap bracket must close to
     gap_bracket: float = 1e-9

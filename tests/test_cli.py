@@ -230,6 +230,18 @@ def test_fiedler_refuses_kmeans_flags(tmp_path, capsys):
     assert json.loads(out.read_text())["seed"] is None
 
 
+def test_cluster_negative_seed_exits_2(tmp_path, capsys):
+    g_path = tmp_path / "g.tsv"
+    assert run(["gen", "example-blocks", "--n", 2, "--c", 0.4,
+                "--output", g_path, "--partition", tmp_path / "p.txt"]) == 0
+    out = tmp_path / "s.json"
+    capsys.readouterr()
+    assert run(["cluster", "--input", g_path, "--k", 2, "--seed", -1,
+                "--partition", tmp_path / "o.txt", "--output", out]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
 def test_solver_error_exits_4(tmp_path, monkeypatch, capsys):
     g_path = tmp_path / "g.tsv"
     run(["gen", "example-blocks", "--n", 1, "--c", 0.5,

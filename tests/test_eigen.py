@@ -19,10 +19,16 @@ def random_symmetric(rng, n):
     return 0.5 * (a + a.T)
 
 
+def random_graph(rng, n):
+    w = np.triu(rng.random((n, n)), 1)
+    return rc.WeightedGraph(w + w.T)
+
+
 def test_path3_eigenvalues_exact():
     # characteristic polynomial of the path Laplacian [[1,-1,0],[-1,2,-1],[0,-1,1]]
     # is -x(x-1)(x-3), so the spectrum is {0, 1, 3}
-    values, vectors = rc.sym_eig(rc.laplacian(path3()))
+    emb = rc.eigenmap(path3(), 3)
+    values, vectors = emb.values, emb.U
     assert np.allclose(values, [0.0, 1.0, 3.0], atol=1e-9)
     # residual check
     lap = rc.laplacian(path3())
@@ -30,11 +36,13 @@ def test_path3_eigenvalues_exact():
 
 
 def test_eigenvalues_match_scipy():
+    # indefinite matrices, which no graph's Laplacian is, go to the checked
+    # solve itself
     rng = np.random.default_rng(5)
     for _ in range(10):
         n = int(rng.integers(2, 25))
         a = random_symmetric(rng, n)
-        values, vectors = rc.sym_eig(a)
+        values, vectors = eigen._checked_eigh(a)
         expected = scipy.linalg.eigvalsh(a)
         assert np.allclose(values, expected, atol=1e-8 * (1 + np.abs(a).max()))
         # columns diagonalize a
@@ -46,7 +54,7 @@ def test_orthonormality_and_residual():
     for _ in range(10):
         n = int(rng.integers(2, 30))
         a = random_symmetric(rng, n)
-        values, vectors = rc.sym_eig(a)
+        values, vectors = eigen._checked_eigh(a)
         scale = 1.0 + np.linalg.norm(a)
         assert np.linalg.norm(vectors.T @ vectors - np.eye(n)) <= 1e-8 * scale
         assert np.linalg.norm(a @ vectors - vectors * values) <= 1e-8 * scale
@@ -54,7 +62,8 @@ def test_orthonormality_and_residual():
 
 
 def test_sign_convention():
-    values, vectors = rc.sym_eig(np.diag([3.0, 1.0, 2.0]))
+    values, vectors = eigen._checked_eigh(np.diag([3.0, 1.0, 2.0]))
+    vectors = eigen._fix_signs(vectors)
     assert np.allclose(values, [1.0, 2.0, 3.0])
     # each column's largest-magnitude entry is positive
     for j in range(3):
@@ -66,42 +75,25 @@ def test_sign_convention():
 
 def test_sign_convention_is_stable_under_negation():
     rng = np.random.default_rng(23)
-    a = random_symmetric(rng, 6)
-    _, v1 = rc.sym_eig(a)
+    v1 = rc.eigenmap(random_graph(rng, 6), 6).U
     for j in range(6):
         col = v1[:, j]
         assert col[np.argmax(np.abs(col))] > 0
+    assert np.array_equal(eigen._fix_signs(-v1), v1)
 
 
 def test_repeated_runs_identical():
     rng = np.random.default_rng(29)
-    a = random_symmetric(rng, 12)
-    v1, u1 = rc.sym_eig(a)
-    v2, u2 = rc.sym_eig(a)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(u1, u2)
-
-
-def test_sym_eig_input_validation():
-    with pytest.raises(InputError):
-        rc.sym_eig(np.zeros((2, 3)))
-    a = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(InputError):
-        rc.sym_eig(a)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_sym_eig_rejects_nonfinite_entries_as_input(bad):
-    # a non-finite entry is bad input, caught by the shared symmetry rule
-    # before any solve, not a solver failure
-    with pytest.raises(InputError, match="finite"):
-        rc.sym_eig([[bad, 1.0], [1.0, 0.0]])
-    with pytest.raises(InputError, match="finite"):
-        rc.sym_eig([[0.0, bad], [bad, 0.0]])
+    g = random_graph(rng, 12)
+    first = rc.eigenmap(g, 12)
+    eigen._solve.cache_clear()  # so the second run solves afresh
+    second = rc.eigenmap(g, 12)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.U, second.U)
 
 
 def test_sym_eig_rejects_corrupted_basis(monkeypatch):
-    a = random_symmetric(np.random.default_rng(31), 8)
+    g = random_graph(np.random.default_rng(31), 8)
     eigh = np.linalg.eigh
 
     def swapped_columns(m):
@@ -116,7 +108,7 @@ def test_sym_eig_rejects_corrupted_basis(monkeypatch):
     for fake in (swapped_columns, non_orthonormal):
         monkeypatch.setattr(eigen.np.linalg, "eigh", fake)
         with pytest.raises(SolverError):
-            rc.sym_eig(a)
+            rc.eigenmap(g, g.n)
 
 
 def test_sym_eig_reports_lapack_failure(monkeypatch):
@@ -125,7 +117,7 @@ def test_sym_eig_reports_lapack_failure(monkeypatch):
 
     monkeypatch.setattr(eigen.np.linalg, "eigh", failing)
     with pytest.raises(SolverError, match="did not converge"):
-        rc.sym_eig(np.eye(3))
+        rc.eigenmap(path3(), 3)
 
 
 def test_degenerate_eigenspace_spans_centered_projector():
@@ -133,7 +125,8 @@ def test_degenerate_eigenspace_spans_centered_projector():
     # m with multiplicity m - 1, whose eigenspace is the complement of 1.
     # LAPACK may return any basis of it, but the projector is fixed.
     for m in (3, 5, 8):
-        values, vectors = rc.sym_eig(rc.laplacian(rc.WeightedGraph(1.0 - np.eye(m))))
+        emb = rc.eigenmap(rc.WeightedGraph(1.0 - np.eye(m)), m)
+        values, vectors = emb.values, emb.U
         assert np.allclose(values, [0.0] + [float(m)] * (m - 1), atol=1e-9)
         block = vectors[:, 1:]
         projector = np.eye(m) - np.ones((m, m)) / m
@@ -177,9 +170,8 @@ def test_lambda2_zero_iff_disconnected():
 
 
 def test_lambda2_equals_the_sym_eig_value_bit_for_bit():
-    # lambda2, eigenmap and fiedler skip the copy and symmetry repair of
-    # sym_eig, which change no bit of a validated graph's Laplacian, and the
-    # sign convention acts on each column alone
+    # lambda2, eigenmap and fiedler equal LAPACK's full solve of the
+    # Laplacian, with the sign convention applied to each column alone
     rng = np.random.default_rng(32)
     for trial in range(40):
         n = int(rng.integers(2, 30))
@@ -187,7 +179,8 @@ def test_lambda2_equals_the_sym_eig_value_bit_for_bit():
         if trial % 2:
             w *= rng.random((n, n)) * 10.0 ** rng.integers(-3, 4)
         g = rc.WeightedGraph(w + w.T)
-        values, vectors = rc.sym_eig(rc.laplacian(g))
+        values, vectors = np.linalg.eigh(rc.laplacian(g))
+        vectors = eigen._fix_signs(vectors)
         assert rc.lambda2(g) == float(values[1])
         for k in range(1, n + 1):
             emb = rc.eigenmap(g, k)
@@ -233,25 +226,10 @@ def test_solves_whose_squared_entries_overflow_are_checked():
         assert np.array_equal(emb.values, [0.0, 2e200])
         assert np.allclose(np.abs(emb.U), np.sqrt(0.5), rtol=1e-15)
         assert np.allclose(rc.fiedler(g), [np.sqrt(0.5), -np.sqrt(0.5)], rtol=1e-15)
-        # ||A||_F = 1.41e308: finite, and symmetric pairs are kept as they are
-        # rather than summed
-        values, vectors = rc.sym_eig([[0.0, 1e308], [1e308, 0.0]])
+        # an indefinite matrix with ||A||_F = 1.41e308: finite, so checked
+        values, vectors = eigen._checked_eigh(np.array([[0.0, 1e308], [1e308, 0.0]]))
     assert np.array_equal(values, [-1e308, 1e308])
     assert np.allclose(np.abs(vectors), np.sqrt(0.5), rtol=1e-15)
-
-
-def test_sym_eig_repairs_pairs_as_weighted_graph_does():
-    # each unequal pair becomes its average, -0.0 against 0.0 included, and
-    # equal pairs keep their bits
-    a = np.array([[2.0, 1.0 + 2e-11, -0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
-    repaired = a.copy()
-    repaired[0, 1] = repaired[1, 0] = 0.5 * (a[0, 1] + a[1, 0])
-    repaired[0, 2] = repaired[2, 0] = 0.0
-    values, vectors = rc.sym_eig(a)
-    expected_values, expected_vectors = np.linalg.eigh(repaired)
-    assert np.array_equal(values, expected_values)
-    assert np.array_equal(vectors, eigen._fix_signs(expected_vectors))
-    assert a[0, 1] == 1.0 + 2e-11  # the input is not written
 
 
 def test_fiedler_vector():

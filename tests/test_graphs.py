@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ratiocut as rc
-from ratiocut import eigen
+from ratiocut import eigen, graphs
 from ratiocut.errors import InputError
 
 
@@ -28,9 +28,13 @@ def test_graph_rejects_negative_and_nonfinite():
     w = np.array([[0.0, -1.0], [-1.0, 0.0]])
     with pytest.raises(InputError):
         rc.WeightedGraph(w)
-    w = np.array([[0.0, np.inf], [np.inf, 0.0]])
-    with pytest.raises(InputError):
-        rc.WeightedGraph(w)
+    # a non-finite entry is bad input, on the diagonal too, which the
+    # symmetry rule checks before the diagonal is zeroed
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="finite"):
+            rc.WeightedGraph([[bad, 1.0], [1.0, 0.0]])
+        with pytest.raises(InputError, match="finite"):
+            rc.WeightedGraph([[0.0, bad], [bad, 0.0]])
 
 
 def test_graph_rejects_asymmetric_beyond_tolerance():
@@ -67,6 +71,7 @@ def test_graph_stores_symmetric_weights_bit_for_bit():
     b = a.copy()
     b[1, 2] += 3e-11
     stored = rc.WeightedGraph(b).weights
+    assert b[1, 2] != b[2, 1]  # the input is not written
     assert stored[1, 2] == stored[2, 1] == 0.5 * (b[1, 2] + b[2, 1])
     assert np.array_equal(stored, stored.T)
     off = np.ones((7, 7), dtype=bool)
@@ -192,6 +197,20 @@ def test_cut_weight_validates_subset():
         rc.cut_weight(g, [3])
     with pytest.raises(InputError):
         rc.cut_weight(g, [-1])
+    # a mask or a float is not a list of vertex indices
+    edge = complete_graph(2)
+    for bad in (np.array([False, True]), [True], [0, True], [0.9], np.array([1.0]), [np.float64(0)]):
+        with pytest.raises(InputError, match="integer vertex indices"):
+            rc.cut_weight(edge, bad)
+        with pytest.raises(InputError, match="integer vertex indices"):
+            rc.induced_subgraph(edge, bad)
+    with pytest.raises(InputError, match="integer vertex indices"):
+        rc.induced_subgraph(g, [1.7])
+    # integer indices of any integer type, and the empty subset, stay valid
+    assert rc.cut_weight(edge, np.array([1], dtype=np.int8)) == 1.0
+    assert rc.cut_weight(edge, [np.int64(0)]) == 1.0
+    assert rc.cut_weight(edge, []) == 0.0
+    assert rc.cut_weight(edge, np.array([], dtype=int)) == 0.0
 
 
 def ratio_cut_by_trace(g: rc.WeightedGraph, p: rc.Partition) -> float:
@@ -216,8 +235,8 @@ def test_ratio_cut_matches_trace_formula():
 
 def test_partition_of_the_wrong_size_is_an_input_error_everywhere():
     g = rc.WeightedGraph(np.ones((7, 7)))
-    entry_points = [rc.ratio_cut, eigen.block_lambda2s, rc.boundary_degrees, rc.intra_connectivities,
-                    rc.certificate, rc.split_iso_delta, rc.theoretical_bound, rc.gap_lower_per_block]
+    entry_points = [rc.ratio_cut, eigen.block_lambda2s, graphs.cross_weights, rc.boundary_degrees,
+                    rc.intra_connectivities, rc.certificate, rc.theoretical_bound]
     # shorter, with blocks the theorem accepts; longer; and too small for the theorem
     for labels in ([0, 0, 0, 1, 1, 1], [0] * 4 + [1] * 4, [0, 1]):
         p = rc.Partition(labels, 2)
@@ -265,7 +284,7 @@ def test_connected_components_and_diameter():
 
 def test_bfs_distances():
     p4 = path_graph(4)
-    assert list(rc.bfs_distances(p4, 0)) == [0, 1, 2, 3]
+    assert graphs._bfs(graphs._neighbours(p4), 0) == [0, 1, 2, 3]
 
 
 def _hop_distances(w: np.ndarray) -> np.ndarray:
@@ -312,8 +331,9 @@ def _bfs_reference_graphs():
 def test_bfs_diameter_and_components_match_boolean_products():
     for g in _bfs_reference_graphs():
         dist = _hop_distances(g.weights)
+        adj = graphs._neighbours(g)
         for source in range(g.n):
-            assert np.array_equal(rc.bfs_distances(g, source), dist[source])
+            assert np.array_equal(graphs._bfs(adj, source), dist[source])
         assert rc.diameter(g) == dist.max()
         assert rc.is_connected(g)
     # disconnected, weighted: components are the reachability classes

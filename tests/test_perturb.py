@@ -10,7 +10,6 @@ from ratiocut.errors import (
     DegenerateAlignmentWarning,
     HypothesisViolation,
     InputError,
-    SingletonBlockWarning,
     SizeError,
 )
 
@@ -34,12 +33,19 @@ def random_orthogonal(rng, k):
 # ---------------------------------------------------------------- iso/delta
 
 
+def split_iso_delta(g, p):
+    """The intra-block weights and L_delta, the Laplacian of the cross-block
+    weights, so that L = L_iso + L_delta."""
+    w_delta = graphs.cross_weights(g, p)
+    return rc.WeightedGraph(g.weights - w_delta), graphs.weights_laplacian(w_delta)
+
+
 def test_split_single_block_has_zero_delta():
     g = complete_graph(5, 0.3)
     p = rc.Partition(np.zeros(5, dtype=int), 1)
-    iso = rc.split_iso_delta(g, p)
-    assert np.array_equal(iso.w_iso.weights, g.weights)
-    assert np.all(iso.l_delta == 0.0)
+    w_iso, l_delta = split_iso_delta(g, p)
+    assert np.array_equal(w_iso.weights, g.weights)
+    assert np.all(l_delta == 0.0)
 
 
 def test_split_disjoint_pairs_zero_delta():
@@ -48,16 +54,16 @@ def test_split_disjoint_pairs_zero_delta():
     w[2, 3] = w[3, 2] = 1.0
     g = rc.WeightedGraph(w)
     p = rc.Partition(np.array([0, 0, 1, 1]), 2)
-    iso = rc.split_iso_delta(g, p)
-    assert np.all(iso.l_delta == 0.0)
+    _, l_delta = split_iso_delta(g, p)
+    assert np.all(l_delta == 0.0)
 
 
 def test_split_example_blocks_delta_pattern():
     g, p = rc.gen_example_blocks(1, 0.5)
-    iso = rc.split_iso_delta(g, p)
+    _, l_delta = split_iso_delta(g, p)
     # every vertex has exactly one cross edge of weight 0.5
-    assert np.allclose(np.diag(iso.l_delta), 0.5)
-    off = iso.l_delta - np.diag(np.diag(iso.l_delta))
+    assert np.allclose(np.diag(l_delta), 0.5)
+    off = l_delta - np.diag(np.diag(l_delta))
     assert set(np.round(np.unique(off), 12)) == {-0.5, 0.0}
 
 
@@ -66,12 +72,12 @@ def test_split_reconstructs_and_row_sums():
     w = np.triu(rng.uniform(0, 1, (8, 8)), 1)
     g = rc.WeightedGraph(w + w.T)
     p = rc.Partition(np.array([0, 0, 0, 1, 1, 1, 2, 2]), 3)
-    iso = rc.split_iso_delta(g, p)
-    assert np.allclose(iso.w_iso.weights + iso.w_delta, g.weights, atol=1e-12)
-    assert np.allclose(iso.l_delta.sum(axis=1), 0.0, atol=1e-12)
+    w_iso, l_delta = split_iso_delta(g, p)
+    assert np.allclose(w_iso.weights + graphs.cross_weights(g, p), g.weights, atol=1e-12)
+    assert np.allclose(l_delta.sum(axis=1), 0.0, atol=1e-12)
     # full Laplacian decomposes additively
     assert np.allclose(
-        rc.laplacian(g), rc.laplacian(iso.w_iso) + iso.l_delta, atol=1e-12
+        rc.laplacian(g), rc.laplacian(w_iso) + l_delta, atol=1e-12
     )
 
 
@@ -83,10 +89,10 @@ def test_split_delta_is_the_laplacian_of_the_cross_weights():
         w = np.triu(rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.6), 1)
         g = rc.WeightedGraph(w + w.T)
         p = rc.Partition(rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)])), k)
-        iso = rc.split_iso_delta(g, p)
         cross = graphs.cross_weights(g, p)
-        assert np.array_equal(iso.w_delta, cross)
-        assert np.array_equal(iso.l_delta, graphs.weights_laplacian(cross))
+        # the mask and the Laplacian, each against a second construction
+        assert np.array_equal(cross, g.weights * (p.labels[:, None] != p.labels[None, :]))
+        assert np.array_equal(graphs.weights_laplacian(cross), rc.laplacian(rc.WeightedGraph(cross)))
         assert np.array_equal(rc.boundary_degrees(g, p), cross.sum(axis=1))
 
 
@@ -98,9 +104,9 @@ def test_l_delta_infinity_norm_identity():
     # max absolute row sum of L_delta is twice the max boundary degree
     for n, c in ((1, 0.5), (2, 1.2)):
         g, p = rc.gen_example_blocks(n, c)
-        iso = rc.split_iso_delta(g, p)
+        _, l_delta = split_iso_delta(g, p)
         d = rc.boundary_degrees(g, p)
-        assert linf_operator_norm(iso.l_delta) == pytest.approx(2 * d.max(), abs=1e-9)
+        assert linf_operator_norm(l_delta) == pytest.approx(2 * d.max(), abs=1e-9)
 
 
 def test_l_delta_spectral_below_infinity_norm():
@@ -111,9 +117,9 @@ def test_l_delta_spectral_below_infinity_norm():
         g = rc.WeightedGraph(w + w.T)
         labels = np.concatenate([[0, 1], rng.integers(0, 2, n - 2)])
         p = rc.Partition(labels, 2)
-        iso = rc.split_iso_delta(g, p)
-        spectral = np.linalg.norm(iso.l_delta, 2)
-        assert spectral <= linf_operator_norm(iso.l_delta) + 1e-9
+        _, l_delta = split_iso_delta(g, p)
+        spectral = np.linalg.norm(l_delta, 2)
+        assert spectral <= linf_operator_norm(l_delta) + 1e-9
 
 
 # ------------------------------------------------------------------- U_iso
@@ -229,7 +235,6 @@ def test_two_to_inf_error_k2_matches_vector_inf_norm():
     u_iso = rc.canonical_uiso(p)
     err = rc.two_to_inf_error(emb.U, u_iso)
 
-    iso_g = rc.split_iso_delta(g, p).w_iso
     u2 = emb.U[:, 1]
     # eigenvector of L_iso for its second-smallest *nonzero-gap* position:
     # with two equal blocks the indicator difference is the natural pick
@@ -534,21 +539,6 @@ def test_gap_exact_permuted_grid_4x6(highs_pinned):
     exact = rc.gap_exact(g)
     assert exact == pytest.approx(highs_pinned(rc.laplacian(g)).min(), abs=1e-7)
     assert exact >= rc.gap_lower_bound(g)
-
-
-def test_gap_lower_per_block():
-    g, p = rc.gen_planted_blocks([4, 6], 1.0, 0.1)
-    per = rc.gap_lower_per_block(g, p)
-    assert per[0] == pytest.approx(4.0 / (2 * math.log(4)), abs=1e-9)
-    assert per[1] == pytest.approx(6.0 / (2 * math.log(6)), abs=1e-9)
-
-    q = rc.Partition(np.array([0] + [1] * 9), 2)
-    w = np.triu(np.ones((10, 10)), 1)
-    g2 = rc.WeightedGraph(w + w.T)
-    with pytest.warns(SingletonBlockWarning):
-        per2 = rc.gap_lower_per_block(g2, q)
-    assert math.isinf(per2[0])
-    assert per2[1] == pytest.approx(9.0 / (2 * math.log(9)), abs=1e-9)
 
 
 def test_linf_eigengap_random_property_small():

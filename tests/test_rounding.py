@@ -267,13 +267,13 @@ def test_restarts_in_groups_match_the_per_restart_loop(monkeypatch):
     points = _block_embedding(rng, 40, 4)
     dup = rng.integers(0, 2, size=(12, 2)).astype(float)
     bad = rng.normal(size=(20, 3))
-    bad[5, 0] = math.nan
+    bad[5, 0] = bad[6, 0] = 1e308  # finite, but their mean overflows
     for cells in (1, 3 * 40 * 4 * 4):  # groups of one restart, of three
         monkeypatch.setattr(rounding, "LLOYD_BATCH_CELLS", cells)
         for seed in range(3):
             _assert_matches_reference(points, 4, seed)
             _assert_matches_reference(dup, 5, seed, restarts=7)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             assert _assert_matches_reference(bad, 3, seed=0)[0] == "SolverError"
 
 
@@ -287,10 +287,12 @@ def test_batched_lloyd_matches_reference_at_the_iteration_cap():
 
 
 def test_batched_lloyd_raises_the_reference_error():
+    # two finite points whose mean overflows make a Lloyd cost fail its
+    # check (non-finite points stop at the input check of kmeans_round)
     rng = np.random.default_rng(4)
-    for bad in (math.nan, math.inf):
+    for _ in range(2):
         points = rng.normal(size=(20, 3))
-        points[7, 1] = bad
+        points[7, 1] = points[8, 1] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             out = _assert_matches_reference(points, 3, seed=1)
         assert out[0] == "SolverError"
@@ -354,6 +356,17 @@ def test_kmeans_validation():
         rc.kmeans_round(np.zeros(3), 1)
     with pytest.raises(InputError, match="d >= 1"):
         rc.kmeans_round(np.zeros((3, 0)), 2)  # no coordinate to cluster on
+    # a non-finite coordinate is bad input, caught before any seeding, not a
+    # Lloyd cost that fails its check
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="must be finite"):
+            rc.kmeans_round([[bad], [1.0], [2.0]], 2)
+        with pytest.raises(InputError, match="must be finite"):
+            rc.kmeans_round([[0.0, 1.0], [1.0, bad], [2.0, 0.0]], 1, restarts=1)
+    # the restart generators take nonnegative seeds only, also when unused
+    for restarts in (1, 10):
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            rc.kmeans_round(np.arange(6.0)[:, None], 2, seed=-1, restarts=restarts)
 
 
 def test_kmeans_objective_matches_definition():
@@ -402,6 +415,8 @@ def test_spectral_cluster_validation():
         rc.spectral_cluster(g, 3, method="fiedler")
     with pytest.raises(InputError):
         rc.spectral_cluster(g, 2, method="ward")
+    with pytest.raises(InputError, match="seed must be nonnegative"):
+        rc.spectral_cluster(g, 2, seed=-1)
 
 
 def test_fiedler_refuses_kmeans_arguments():

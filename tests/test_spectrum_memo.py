@@ -94,8 +94,8 @@ SPECTRA = (
     lambda g, p: rc.eigenmap(g, p.k).values,
     lambda g, p: np.float64(rc.lambda2(g)),
     lambda g, p: eigen.block_lambda2s(g, p),
-    lambda g, p: rc.sym_eig(rc.laplacian(g))[0],
-    lambda g, p: rc.sym_eig(rc.laplacian(g))[1],
+    lambda g, p: rc.eigenmap(g, g.n).U,
+    lambda g, p: rc.eigenmap(g, g.n).values,
 )
 
 
@@ -120,12 +120,14 @@ def test_memo_hits_equal_fresh_solves_bit_for_bit(unbalanced):
 
 
 def test_sym_eig_memo_hits_equal_fresh_solves():
+    # indefinite matrices, which no graph's Laplacian is, go to the checked
+    # solve itself
     rng = np.random.default_rng(8)
     for n in (1, 2, 7, 30):
         a = random_symmetric(rng, n)
         eigen._solve.cache_clear()
-        cold = [x.tobytes() for x in rc.sym_eig(a)]
-        assert [x.tobytes() for x in rc.sym_eig(a)] == cold
+        cold = [x.tobytes() for x in eigen._checked_eigh(a)]
+        assert [x.tobytes() for x in eigen._checked_eigh(a.copy())] == cold
         assert eigen._solve.cache_info().hits == 1
 
 
@@ -135,9 +137,9 @@ def test_sym_eig_memo_hits_equal_fresh_solves():
 def test_returned_arrays_are_fresh():
     g, p = rc.gen_planted_blocks([3, 4, 5], 1.0, 0.15)
     emb = rc.eigenmap(g, 3)
-    values, vectors = rc.sym_eig(rc.laplacian(g))
+    full = rc.eigenmap(g, g.n)
     want = spectra(g, p)
-    for out in (emb.U, emb.values, values, vectors, rc.fiedler(g)):
+    for out in (emb.U, emb.values, full.U, full.values, rc.fiedler(g)):
         out[...] = np.nan
     assert spectra(g, p) == want
     assert rc.lambda2(g) == np.frombuffer(want[2])[0]
@@ -157,7 +159,7 @@ def test_memo_holds_at_most_eight_solves():
     assert eigen._solve.cache_info().maxsize == 8
     rng = np.random.default_rng(9)
     for n in range(2, 22):
-        rc.sym_eig(random_symmetric(rng, n))
+        eigen._checked_eigh(random_symmetric(rng, n))
         assert eigen._solve.cache_info().currsize <= 8
     assert eigen._solve.cache_info().currsize == 8
 
