@@ -5,9 +5,12 @@ by two edges of weight 0.5, with intra-block weights 1/|block| so every
 block has algebraic connectivity exactly 1. The imbalance factor
 c = n / min block size is 201, which wrecks the closed-form perturbation
 precondition, and the certificate ratio lands exactly on the 1/2
-boundary. Yet spectral clustering recovers the planted blocks without
-drama: boundary degrees and intra-block connectivities are what matter,
-not balance.
+boundary. The certificate claims only what it proves, and a ratio of
+exactly 1/2 cannot be proved in floating point: the computed
+connectivities carry an error radius, so the proved upper end of the ratio
+sits just above 1/2 and the certificate does not pass. Yet spectral
+clustering recovers the planted blocks without drama: boundary degrees and
+intra-block connectivities are what matter, not balance.
 """
 import ratiocut as rc
 
@@ -20,9 +23,9 @@ def main() -> None:
     cert = rc.certificate(g, planted)
     print(f"boundary degrees: max {cert.max_d_delta}")
     print(f"block connectivities: {cert.lambda2s.round(6).tolist()}")
-    print(f"ratio {cert.ratio_r:.3f} -> certificate "
-          f"{'passes' if cert.passes else 'fails'}"
-          f"{' (strict)' if cert.strict else ' (boundary case, not strict)'}")
+    verdict = ("passes (strict)" if cert.strict else "passes" if cert.passes
+               else "is not proved (exactly 1/2 cannot be proved in floating point)")
+    print(f"ratio {cert.ratio_r:.3f} -> certificate {verdict}")
 
     rep = rc.theoretical_bound(g, planted)
     print(f"closed-form bound precondition: "

@@ -5,6 +5,12 @@ well connected relative to its boundary: if the largest boundary degree is
 at most half the smallest intra-block algebraic connectivity, no other
 partition into k non-empty blocks can have a smaller ratio cut. When the
 inequality is strict the minimizer is unique up to relabeling the blocks.
+
+The inequality is decided on proved ends, not on the computed values: the
+block connectivities less their solves' error radii (``eigen``) from below,
+the largest boundary degree with its rounding from above. So the
+certificate claims only what it proves, and it gives the same answer under
+any vertex order and any power-of-two scaling of the weights.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import numpy as np
 from .eigen import block_lambda2s
 from .errors import SingletonBlockWarning
 from .graphs import Partition, WeightedGraph, cross_weights
-from .tolerances import DEFAULT as TOL
 
 
 def boundary_degrees(g: WeightedGraph, p: Partition) -> np.ndarray:
@@ -30,6 +35,17 @@ def boundary_degrees(g: WeightedGraph, p: Partition) -> np.ndarray:
     return cross_weights(g, p).sum(axis=1)
 
 
+def _singletons(p: Partition) -> list[int]:
+    """The blocks of one vertex, with a warning when there are any."""
+    singletons = np.flatnonzero(p.sizes() == 1).tolist()
+    if singletons:
+        warnings.warn(
+            f"singleton blocks {singletons} contribute infinite connectivity",
+            SingletonBlockWarning,
+        )
+    return singletons
+
+
 def intra_connectivities(g: WeightedGraph, p: Partition) -> np.ndarray:
     """Algebraic connectivity of each induced block subgraph.
 
@@ -39,14 +55,9 @@ def intra_connectivities(g: WeightedGraph, p: Partition) -> np.ndarray:
     disconnect, so they contribute ``+inf`` (with a warning since the
     certificate becomes vacuous on that side).
     """
-    out = block_lambda2s(g, p)
-    singletons = np.flatnonzero(p.sizes() == 1).tolist()
-    if singletons:
-        warnings.warn(
-            f"singleton blocks {singletons} contribute infinite connectivity",
-            SingletonBlockWarning,
-        )
-    return out
+    lam = block_lambda2s(g, p)[0]
+    _singletons(p)
+    return lam
 
 
 @dataclass(frozen=True)
@@ -55,9 +66,14 @@ class Certificate:
 
     ``passes`` means the partition is a global minimizer of the ratio cut
     over all partitions into the same number of non-empty blocks; ``strict``
-    additionally means it is the unique one up to relabeling. ``ratio_r``
-    is max boundary degree over min intra-block connectivity, and ``margin``
-    is ``min_lambda2 / 2 - max_d_delta`` (positive iff strict).
+    additionally means it is the unique one up to relabeling. Both are
+    proved, not estimated: ``ratio_r`` is the proved upper end of max
+    boundary degree over min intra-block connectivity (``inf`` when no
+    block connectivity is proved positive, 0 when every block is a
+    singleton), ``passes`` is ``ratio_r <= 1/2`` and ``strict`` is ``ratio_r
+    < 1/2``. ``margin`` is the proved lower end of ``min_lambda2 / 2 -
+    max_d_delta``, positive when strict. ``max_d_delta`` and
+    ``min_lambda2`` are the computed values themselves.
     """
 
     d_delta: np.ndarray
@@ -83,32 +99,29 @@ def certificate(g: WeightedGraph, p: Partition) -> Certificate:
     optimality either way.
     """
     d_delta = boundary_degrees(g, p)
-    lam = intra_connectivities(g, p)
+    lam, radii = block_lambda2s(g, p)
+    singletons = _singletons(p)
+    # every block's lambda2 is at least lo; the boundary degree, a sum of at
+    # most n - 1 nonnegative weights, times 1 + (n + 1) eps is at least the
+    # exact one, also after the rounding of that product and of the quotient.
+    # An overflowed degree is held at the largest float: a finite lo is
+    # below it, so the ratio still fails, and lo = inf (every block a
+    # singleton) still gives 0 and not inf / inf
+    lo = float(np.min(lam - radii))
     max_d = float(d_delta.max())
-    min_l = float(lam.min())
-    singletons = [j for j in range(p.k) if math.isinf(lam[j])]
-
-    if min_l <= TOL.zero_eigenvalue:
-        # a block's induced subgraph is disconnected: the hypothesis cannot
-        # hold and the ratio is reported as infinite (even for a zero
-        # boundary; that exact case belongs to the brute-force oracle)
-        ratio = math.inf
-        passes = False
-        strict = False
-    else:
-        ratio = max_d / min_l if math.isfinite(min_l) else 0.0
-        passes = ratio <= 0.5 + TOL.certificate_comparison
-        strict = ratio < 0.5 - TOL.certificate_comparison
-    margin = 0.5 * min_l - max_d if math.isfinite(min_l) else math.inf
+    d_hi = min(max_d * (1.0 + (g.n + 1) * float(np.finfo(float).eps)), float(np.finfo(float).max))
+    # a disconnected block cannot be proved connected (lo <= 0): the ratio
+    # is infinite, even for a zero boundary, which belongs to the oracle
+    ratio = d_hi / lo if lo > 0.0 else math.inf
 
     return Certificate(
         d_delta=d_delta,
         lambda2s=lam,
         max_d_delta=max_d,
-        min_lambda2=min_l,
+        min_lambda2=float(lam.min()),
         ratio_r=ratio,
-        passes=passes,
-        strict=strict,
-        margin=margin,
+        passes=ratio <= 0.5,
+        strict=ratio < 0.5,
+        margin=0.5 * lo - d_hi,
         singleton_blocks=singletons,
     )

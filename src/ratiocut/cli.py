@@ -45,7 +45,15 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
+# the parameter flags each gen family reads; the others are refused, not ignored
+_GEN_FLAGS = {"example-blocks": ("n", "c"), "unbalanced": (), "planted": ("sizes", "intra", "cross")}
+
+
 def cmd_gen(args) -> int:
+    ignored = [f"--{flag}" for flags in _GEN_FLAGS.values() for flag in flags
+               if flag not in _GEN_FLAGS[args.family] and getattr(args, flag) is not None]
+    if ignored:
+        raise InputError(f"gen {args.family} does not take {', '.join(ignored)}")
     if args.family == "example-blocks":
         if args.n is None or args.c is None:
             raise InputError("gen example-blocks requires --n and --c")

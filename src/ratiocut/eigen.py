@@ -18,11 +18,46 @@ functions return fresh copies. The memo retains at most 8 x 2n^2 doubles
 (the key and the eigenvectors): about 5 MB at n = 200, about 46 MB at
 n = 603. A repeated solve in one process returns the first solve's bits,
 even if the OpenBLAS thread count has changed since.
+
+Every checked solve also returns an error radius ``rad`` with
+``|lambda_i(A) - lam_i| <= rad`` for every i, both spectra ascending, built
+from the arrays the check forms anyway (residual bounds as in Parlett, *The
+Symmetric Eigenvalue Problem*, SIAM 1998). Write ``R = A V - V Lam`` and
+``E = V^T V - I`` for the computed ``V`` and ``Lam``, ``eta >= ||E||_2``, and
+``V = Q H`` for the polar decomposition (``Q`` orthogonal, ``H = (I +
+E)^(1/2)``). As ``V^T A V = (I + E) Lam + V^T R`` is symmetric,
+
+    Q^T A Q - Lam = H^-1 S H^-1 + ([K, Lam] J - J [K, Lam]) / 2,
+
+with ``S = (V^T R + R^T V) / 2``, ``K = H - I``, ``J = H^-1 - I`` and ``[K,
+Lam] = K Lam - Lam K``. Both terms are symmetric, so Weyl's inequality
+bounds every ``|lambda_i(A) - lam_i|`` by the 2-norm of their sum. With
+``||H^-1||^2 <= 1 / (1 - eta)``, ``||V|| <= sqrt(1 + eta)``, ``||K|| <=
+eta``, ``||J|| <= eta / (1 - eta)`` and ``||[K, Lam]|| <= ||K|| (lam_max -
+lam_min)``:
+
+    rad = (sqrt(1 + eta) ||R||_2 + eta^2 (lam_max - lam_min)) / (1 - eta).
+
+The orthonormality error enters only squared. ``||R||_2 <= ||R||_F``, and
+the computed residual differs from the exact ``R`` entrywise by at most
+``gamma_(m+1) (|A| |V| + |V| |Lam|)``, where ``m`` is the most nonzeros in a
+row of ``A`` (an exact zero adds no rounding) and ``gamma_j = j u / (1 - j
+u)``, ``u = eps / 2``. By columns, with ``||(|A|)||_2 <=`` the largest row
+sum of ``|A|`` (``A`` symmetric) and ``||v_j|| <= sqrt(1 + eta)``, the
+Frobenius norm of that difference is at most ``gamma_(m+1) sqrt(n) (max row
+sum + max |lam|) sqrt(1 + eta)``. In the same way the computed ``E`` is
+within ``gamma_n ||V||_F^2 <= 2 n gamma_n`` of the exact one, so ``eta`` is
+its Frobenius norm plus ``2 n gamma_n``; the check keeps ``eta`` below ``n
+(eigen_residual + 2 gamma_n)``, far below 1. Everything is evaluated at the
+power-of-two scale of the norm check, so the radius scales exactly with
+``A``, and a factor ``1 + (n^2 + 8) eps`` covers the rounding of the norms
+and of the formula. No solve and no ``O(n^3)`` work is added.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +65,13 @@ import numpy as np
 from .errors import InputError, SolverError
 from .graphs import Partition, WeightedGraph, check_partition, laplacian, weights_laplacian
 from .tolerances import DEFAULT as TOL
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _gamma(j: int) -> float:
+    """Relative error bound of ``j`` rounded operations: ``j u / (1 - j u)``, ``u = eps / 2``."""
+    return j * _EPS / (2.0 - j * _EPS)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -39,18 +81,33 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _check_decomposition(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
-    """Raise SolverError unless ``a @ V = V diag(values)`` and ``V.T @ V = I``.
+def _check_decomposition(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
+    """Raise SolverError unless ``a @ V = V diag(values)`` and ``V.T @ V = I``;
+    return the error radius of the eigenvalues (module docstring).
 
     Also when ``||a||_F`` overflows: a bound scaled by inf passes any residual.
     """
+    n = a.shape[0]
+    # every n x n temporary is reduced and dropped before the next one is
+    # made: with more of them alive at once, each solve faults in fresh
+    # pages (twice the check's time at n = 160)
     with np.errstate(over="ignore"):  # norm taken at a power-of-two scale: exact, no square overflows
-        e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+        abs_a = np.abs(a)
+        e = int(np.frexp(np.max(abs_a, initial=0.0))[1])
+        row = math.ldexp(abs_a.sum(axis=1).max(), -e)
+        del abs_a
         scale = max(1.0, float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e)))
     if not np.isfinite(scale):
         raise SolverError("matrix norm overflows, so the residual cannot be checked")
-    residual = float(np.max(np.abs(a @ vectors - vectors * values), initial=0.0))
-    ortho = float(np.max(np.abs(vectors.T @ vectors - np.eye(a.shape[0])), initial=0.0))
+    resid = a @ vectors
+    resid -= vectors * values
+    residual = float(np.max(np.abs(resid), initial=0.0))
+    resid = np.ldexp(resid, -e, out=resid)
+    resid_sq = float(np.vdot(resid, resid))
+    del resid
+    gram_err = vectors.T @ vectors
+    gram_err -= np.eye(n)
+    ortho = float(np.max(np.abs(gram_err), initial=0.0))
     # written as "not <=" so that NaN residuals fail the check too
     if not residual <= TOL.eigen_residual * scale:
         raise SolverError(
@@ -58,12 +115,19 @@ def _check_decomposition(a: np.ndarray, values: np.ndarray, vectors: np.ndarray)
         )
     if not ortho <= TOL.eigen_residual:
         raise SolverError(f"eigenvectors deviate from orthonormal by {ortho:.3g}")
+    # the error radius of the module docstring, evaluated at the scale 2^-e
+    eta = math.sqrt(np.vdot(gram_err, gram_err)) + 2 * n * _gamma(n)
+    lo, hi = math.ldexp(values[0], -e), math.ldexp(values[-1], -e)  # ascending: max |lam| is max(-lo, hi)
+    rounding = _gamma(int((a != 0).sum(axis=1).max()) + 1) * math.sqrt(n) * (row + max(-lo, hi))
+    radius = (math.sqrt((1.0 + eta) * resid_sq) + (1.0 + eta) * rounding + eta * eta * (hi - lo)) / (1.0 - eta)
+    return math.ldexp(radius * (1.0 + (n * n + 8) * _EPS), e)
 
 
-def _checked_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _checked_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """LAPACK ``eigh`` of an exactly symmetric float64 matrix, checked by
-    ``_check_decomposition``; read-only arrays, shared with every caller
-    that passes the same bytes (``_solve``).
+    ``_check_decomposition``: values, vectors and the values' error radius;
+    read-only arrays, shared with every caller that passes the same bytes
+    (``_solve``).
 
     The check does not depend on the column signs, which only negate
     entries exactly.
@@ -72,7 +136,7 @@ def _checked_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _solve(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _solve(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray, float]:
     """The checked solve behind ``_checked_eigh``, memoised by the matrix's exact bytes.
 
     A failed solve raises and so is never stored.
@@ -82,10 +146,10 @@ def _solve(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray]
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"LAPACK eigensolver failed: {exc}") from exc
-    _check_decomposition(a, values, vectors)
+    radius = _check_decomposition(a, values, vectors)
     values.flags.writeable = False
     vectors.flags.writeable = False
-    return values, vectors
+    return values, vectors, radius
 
 
 @dataclass(frozen=True)
@@ -93,10 +157,13 @@ class Eigenmap:
     """Columns of ``U`` span the invariant subspace of the k smallest eigenvalues.
 
     Row ``i`` of ``U`` is the k-dimensional spectral embedding of vertex ``i``.
+    ``radius`` bounds the error of every Laplacian eigenvalue of the solve,
+    ``values`` included (module docstring).
     """
 
     U: np.ndarray
     values: np.ndarray
+    radius: float
 
     @property
     def n(self) -> int:
@@ -111,34 +178,36 @@ def eigenmap(g: WeightedGraph, k: int) -> Eigenmap:
     """Embedding by the eigenvectors of the k smallest Laplacian eigenvalues."""
     if not 1 <= k <= g.n:
         raise InputError(f"k must be in [1, {g.n}], got {k}")
-    values, vectors = _checked_eigh(laplacian(g))
-    return Eigenmap(U=_fix_signs(vectors[:, :k]), values=values[:k].copy())
+    values, vectors, radius = _checked_eigh(laplacian(g))
+    return Eigenmap(U=_fix_signs(vectors[:, :k]), values=values[:k].copy(), radius=radius)
 
 
 def lambda2(g: WeightedGraph) -> float:
     """Algebraic connectivity: second-smallest Laplacian eigenvalue.
 
-    Zero (within tolerance) exactly when the graph is disconnected.
+    The graph is disconnected exactly when the true value is zero; the
+    computed one is then at most the solve's error radius (``eigenmap``).
     """
     if g.n < 2:
         raise InputError("algebraic connectivity needs at least 2 vertices")
     return float(_checked_eigh(laplacian(g))[0][1])
 
 
-def block_lambda2s(g: WeightedGraph, p: Partition) -> np.ndarray:
-    """Algebraic connectivity of each block's induced subgraph; ``+inf`` for a singleton.
+def block_lambda2s(g: WeightedGraph, p: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Algebraic connectivity of each block's induced subgraph and its error
+    radius; ``+inf`` and 0 for a singleton.
 
     Equal bit for bit to ``lambda2(induced_subgraph(g, p.block(j)))``: the
     block Laplacian is built from the same entries of ``g.weights``, which
     are already exactly symmetric, so no second graph is validated.
     """
     check_partition(g, p)
-    out = np.full(p.k, np.inf)
+    lam, radii = np.full(p.k, np.inf), np.zeros(p.k)
     for j, members in enumerate(p.blocks()):
         if members.size > 1:
-            lap = weights_laplacian(g.weights[np.ix_(members, members)])
-            out[j] = _checked_eigh(lap)[0][1]
-    return out
+            values, _, radii[j] = _checked_eigh(weights_laplacian(g.weights[np.ix_(members, members)]))
+            lam[j] = values[1]
+    return lam, radii
 
 
 def fiedler(g: WeightedGraph) -> np.ndarray:

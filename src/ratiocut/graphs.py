@@ -91,7 +91,20 @@ class Partition:
     k: int
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=int)
+        raw = self.labels
+        # a mask or a float must not be read as labels; numpy's bool is no
+        # integer type, but Python's is
+        if isinstance(raw, np.ndarray):
+            integral = np.issubdtype(raw.dtype, np.integer)
+        else:
+            integral = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                           for v in np.array(raw, dtype=object).flat)
+        if not integral:
+            raise InputError("labels must be a nonempty 1-d integer vector")
+        try:
+            labels = np.array(raw, dtype=int)
+        except OverflowError:
+            raise InputError(f"labels must lie in [0, {self.k})") from None
         if labels.ndim != 1 or labels.size < 1:
             raise InputError("labels must be a nonempty 1-d integer vector")
         if self.k < 1:

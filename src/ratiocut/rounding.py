@@ -192,6 +192,9 @@ def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingR
     n = points.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"k must be in [1, {n}], got {k}")
+    for name, value in (("seed", seed), ("restarts", restarts)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InputError(f"{name} must be an integer, got {value!r}")
     if restarts < 1:
         raise InputError("restarts must be at least 1")
     if seed < 0:

@@ -1,7 +1,10 @@
 """Central numerical tolerance configuration.
 
 Every comparison threshold used by the library lives in one frozen record so
-that tests, library code and documentation agree on the defaults.
+that tests, library code and documentation agree on the defaults. Decisions
+on eigenvalues (the certificate, the disconnection test, the eigengap check)
+use no setting: they read the error radius each checked solve measures
+(``eigen``), and ties between ratio cuts use ``graphs.ratio_cut_rel``.
 """
 
 from dataclasses import dataclass
@@ -11,12 +14,9 @@ from dataclasses import dataclass
 class Tolerances:
     #: accepted asymmetry max|A - A^T| before an input is rejected
     symmetry: float = 1e-10
-    #: orthonormality / eigen-residual budget for decomposition outputs
+    #: orthonormality / eigen-residual budget a decomposition must meet to be
+    #: returned at all; its error radius is measured, not set here
     eigen_residual: float = 1e-8
-    #: eigenvalues below this count as zero (disconnection threshold)
-    zero_eigenvalue: float = 1e-8
-    #: absolute tolerance on the certificate half-inequality comparison
-    certificate_comparison: float = 1e-12
     #: slack for inequality checks: relative to the optimum in the oracle's
     #: ``unique``, to the one-cluster cost in the k-means restart pick, and
     #: absolute in the Lloyd cost and ball-membership checks
@@ -27,8 +27,6 @@ class Tolerances:
     orthonormality: float = 1e-6
     #: smallest singular value of U^T U_iso below which Procrustes alignment warns
     procrustes_degeneracy: float = 1e-8
-    #: smallest eigengap lambda_{k+1} - lambda_k the perturbation bound accepts
-    eigengap: float = 1e-9
     #: distance below which two points or centroids count as coincident
     coincident_points: float = 1e-12
 

@@ -333,7 +333,7 @@ def test_eigensolver_residuals_and_known_spectrum(report):
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
         a = rng.normal(size=(n, n)) * scale
         a = 0.5 * (a + a.T)  # indefinite, so not a Laplacian: the checked solve itself
-        values, vectors = eigen._checked_eigh(a)
+        values, vectors, _ = eigen._checked_eigh(a)
         tol = 1e-7 * (1.0 + np.linalg.norm(a))
         if np.linalg.norm(a @ vectors - vectors * values) > tol:
             ok = False

@@ -214,6 +214,19 @@ def test_gen_rejects_seed_flag(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("family, flags, refused", [
+    ("unbalanced", ["--n", 5, "--c", 0.3, "--sizes", "2,2"], "--n, --c, --sizes"),
+    ("planted", ["--sizes", "3,3", "--intra", 1.0, "--cross", 0.1, "--n", 7, "--c", 9], "--n, --c"),
+    ("example-blocks", ["--n", 2, "--c", 0.4, "--sizes", "1,1", "--intra", 2], "--sizes, --intra"),
+])
+def test_gen_refuses_the_other_families_flags(tmp_path, capsys, family, flags, refused):
+    g_path = tmp_path / "g.tsv"
+    capsys.readouterr()
+    assert run(["gen", family, *flags, "--output", g_path, "--partition", tmp_path / "p.txt"]) == 2
+    assert capsys.readouterr().err == f"error: gen {family} does not take {refused}\n"
+    assert not g_path.exists()
+
+
 def test_fiedler_refuses_kmeans_flags(tmp_path, capsys):
     g_path = tmp_path / "g.tsv"
     assert run(["gen", "example-blocks", "--n", 2, "--c", 0.4,

@@ -114,6 +114,15 @@ def test_partition_validation():
         rc.Partition(np.array([], dtype=int), 1)
     p = rc.Partition(np.array([1, 0, 1]), 2)
     assert p.n == 3 and p.k == 2
+    # floats are not truncated and a boolean mask is not read as labels
+    for bad in ([0.9, 1.7, 0.2], np.array([0.0, 1.0]), np.array([True, False]), [0, 1, True],
+                [np.True_, 0], [[0, 1]], [0, 2 ** 70], 1):
+        with pytest.raises(InputError, match="labels must"):
+            rc.Partition(bad, 2)
+    # Python ints and every numpy integer dtype are labels
+    for good in ([1, 0, 1], (1, 0, 1), [np.int64(1), 0, np.uint8(1)],
+                 *(np.array([1, 0, 1], dtype=t) for t in (np.int8, np.uint8, np.int32, np.int64, np.uint64))):
+        assert np.array_equal(rc.Partition(good, 2).labels, [1, 0, 1])
     assert list(p.sizes()) == [1, 2]
     assert list(p.block(1)) == [0, 2]
 

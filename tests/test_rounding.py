@@ -367,6 +367,13 @@ def test_kmeans_validation():
     for restarts in (1, 10):
         with pytest.raises(InputError, match="seed must be nonnegative"):
             rc.kmeans_round(np.arange(6.0)[:, None], 2, seed=-1, restarts=restarts)
+    # seed and restarts are integers: not floats, not bools
+    for kwargs in ({"seed": 1.5}, {"restarts": 2.5}, {"seed": True}, {"restarts": True},
+                   {"seed": np.float64(1.0)}):
+        name = next(iter(kwargs))
+        with pytest.raises(InputError, match=f"{name} must be an integer"):
+            rc.kmeans_round(np.arange(6.0)[:, None], 2, **kwargs)
+    assert rc.kmeans_round(np.arange(6.0)[:, None], 2, seed=np.int64(1), restarts=np.int32(2)).restarts_used == 2
 
 
 def test_kmeans_objective_matches_definition():
@@ -417,6 +424,10 @@ def test_spectral_cluster_validation():
         rc.spectral_cluster(g, 2, method="ward")
     with pytest.raises(InputError, match="seed must be nonnegative"):
         rc.spectral_cluster(g, 2, seed=-1)
+    with pytest.raises(InputError, match="seed must be an integer"):
+        rc.spectral_cluster(g, 2, seed=1.5)
+    with pytest.raises(InputError, match="restarts must be an integer"):
+        rc.spectral_cluster(g, 2, restarts=2.5)
 
 
 def test_fiedler_refuses_kmeans_arguments():

@@ -93,7 +93,9 @@ SPECTRA = (
     lambda g, p: rc.eigenmap(g, p.k).U,
     lambda g, p: rc.eigenmap(g, p.k).values,
     lambda g, p: np.float64(rc.lambda2(g)),
-    lambda g, p: eigen.block_lambda2s(g, p),
+    lambda g, p: eigen.block_lambda2s(g, p)[0],
+    lambda g, p: eigen.block_lambda2s(g, p)[1],
+    lambda g, p: np.float64(rc.eigenmap(g, p.k).radius),
     lambda g, p: rc.eigenmap(g, g.n).U,
     lambda g, p: rc.eigenmap(g, g.n).values,
 )
@@ -126,8 +128,8 @@ def test_sym_eig_memo_hits_equal_fresh_solves():
     for n in (1, 2, 7, 30):
         a = random_symmetric(rng, n)
         eigen._solve.cache_clear()
-        cold = [x.tobytes() for x in eigen._checked_eigh(a)]
-        assert [x.tobytes() for x in eigen._checked_eigh(a.copy())] == cold
+        cold = [np.asarray(x).tobytes() for x in eigen._checked_eigh(a)]
+        assert [np.asarray(x).tobytes() for x in eigen._checked_eigh(a.copy())] == cold
         assert eigen._solve.cache_info().hits == 1
 
 
@@ -146,7 +148,7 @@ def test_returned_arrays_are_fresh():
 
 
 def test_stored_spectra_are_read_only():
-    values, vectors = eigen._checked_eigh(rc.laplacian(rc.gen_example_blocks(2, 0.9)[0]))
+    values, vectors, _ = eigen._checked_eigh(rc.laplacian(rc.gen_example_blocks(2, 0.9)[0]))
     for stored in (values, vectors):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 0.0
