@@ -10,12 +10,7 @@ Lloyd k-means) and a brute-force exact solver for small graphs round out
 the pipeline.
 """
 
-from .certify import (
-    Certificate,
-    boundary_degrees,
-    certificate,
-    intra_connectivities,
-)
+from .certify import Certificate, boundary_degrees, certificate
 from .eigen import Eigenmap, eigenmap, fiedler, lambda2
 from .errors import (
     DegenerateAlignmentWarning,
@@ -117,7 +112,6 @@ __all__ = [
     "gen_unbalanced_example",
     "hyperplane_margin_bound",
     "induced_subgraph",
-    "intra_connectivities",
     "is_connected",
     "kmeans_round",
     "lambda2",

@@ -35,31 +35,6 @@ def boundary_degrees(g: WeightedGraph, p: Partition) -> np.ndarray:
     return cross_weights(g, p).sum(axis=1)
 
 
-def _singletons(p: Partition) -> list[int]:
-    """The blocks of one vertex, with a warning when there are any."""
-    singletons = np.flatnonzero(p.sizes() == 1).tolist()
-    if singletons:
-        warnings.warn(
-            f"singleton blocks {singletons} contribute infinite connectivity",
-            SingletonBlockWarning,
-        )
-    return singletons
-
-
-def intra_connectivities(g: WeightedGraph, p: Partition) -> np.ndarray:
-    """Algebraic connectivity of each induced block subgraph.
-
-    The values come from ``eigen.block_lambda2s``, one checked solve per
-    block of two or more vertices, equal bit for bit to ``lambda2`` of the
-    induced subgraph. Singleton blocks have no internal structure to
-    disconnect, so they contribute ``+inf`` (with a warning since the
-    certificate becomes vacuous on that side).
-    """
-    lam = block_lambda2s(g, p)[0]
-    _singletons(p)
-    return lam
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Outcome of the ratio cut optimality test.
@@ -73,7 +48,9 @@ class Certificate:
     singleton), ``passes`` is ``ratio_r <= 1/2`` and ``strict`` is ``ratio_r
     < 1/2``. ``margin`` is the proved lower end of ``min_lambda2 / 2 -
     max_d_delta``, positive when strict. ``max_d_delta`` and
-    ``min_lambda2`` are the computed values themselves.
+    ``min_lambda2`` are the computed values themselves. ``lambda2s`` holds
+    each induced block subgraph's algebraic connectivity (``eigen.block_lambda2s``),
+    ``+inf`` for a singleton block, which warns: the certificate is vacuous there.
     """
 
     d_delta: np.ndarray
@@ -100,7 +77,12 @@ def certificate(g: WeightedGraph, p: Partition) -> Certificate:
     """
     d_delta = boundary_degrees(g, p)
     lam, radii = block_lambda2s(g, p)
-    singletons = _singletons(p)
+    singletons = np.flatnonzero(p.sizes() == 1).tolist()
+    if singletons:
+        warnings.warn(
+            f"singleton blocks {singletons} contribute infinite connectivity",
+            SingletonBlockWarning,
+        )
     # every block's lambda2 is at least lo; the boundary degree, a sum of at
     # most n - 1 nonnegative weights, times 1 + (n + 1) eps is at least the
     # exact one, also after the rounding of that product and of the quotient.

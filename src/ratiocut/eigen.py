@@ -47,11 +47,16 @@ sum of ``|A|`` (``A`` symmetric) and ``||v_j|| <= sqrt(1 + eta)``, the
 Frobenius norm of that difference is at most ``gamma_(m+1) sqrt(n) (max row
 sum + max |lam|) sqrt(1 + eta)``. In the same way the computed ``E`` is
 within ``gamma_n ||V||_F^2 <= 2 n gamma_n`` of the exact one, so ``eta`` is
-its Frobenius norm plus ``2 n gamma_n``; the check keeps ``eta`` below ``n
-(eigen_residual + 2 gamma_n)``, far below 1. Everything is evaluated at the
-power-of-two scale of the norm check, so the radius scales exactly with
-``A``, and a factor ``1 + (n^2 + 8) eps`` covers the rounding of the norms
-and of the formula. No solve and no ``O(n^3)`` work is added.
+its Frobenius norm plus ``2 n gamma_n``. All of it is evaluated at the scale
+2^-e of ``A``'s largest entry, so the radius scales exactly with ``A``; a
+factor ``1 + (n^2 + 8) eps`` covers the rounding of the norms and of the
+formula. No solve and no ``O(n^3)`` work is added. A solve is returned
+only if ``||E||_F <= eigen_residual``, so ``eta <= eigen_residual + 2 n
+gamma_n < 1`` for any n a dense matrix can have, and ``rad <=
+eigen_residual ||A||_inf`` (the largest row sum, which bounds ``||A||_2``):
+no floor, so the answer is the same at every power-of-two scale. An
+all-subnormal matrix (weights like 5e-324) is refused: its residual
+underflows as it is formed, so no radius is proved.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SolverError
-from .graphs import Partition, WeightedGraph, check_partition, laplacian, weights_laplacian
+from .graphs import Partition, WeightedGraph, check_block_count, check_partition, laplacian, weights_laplacian
 from .tolerances import DEFAULT as TOL
 
 _EPS = float(np.finfo(float).eps)
@@ -82,56 +87,51 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _check_decomposition(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
-    """Raise SolverError unless ``a @ V = V diag(values)`` and ``V.T @ V = I``;
-    return the error radius of the eigenvalues (module docstring).
-
-    Also when ``||a||_F`` overflows: a bound scaled by inf passes any residual.
-    """
+    """The eigenvalues' error radius (module docstring). SolverError unless
+    ``||V.T @ V - I||_F <= eigen_residual`` and the radius is at most
+    ``eigen_residual * ||a||_inf``; also if that overflows or the largest entry is subnormal."""
     n = a.shape[0]
     # every n x n temporary is reduced and dropped before the next one is
     # made: with more of them alive at once, each solve faults in fresh
     # pages (twice the check's time at n = 160)
-    with np.errstate(over="ignore"):  # norm taken at a power-of-two scale: exact, no square overflows
-        abs_a = np.abs(a)
-        e = int(np.frexp(np.max(abs_a, initial=0.0))[1])
-        row = math.ldexp(abs_a.sum(axis=1).max(), -e)
-        del abs_a
-        scale = max(1.0, float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e)))
-    if not np.isfinite(scale):
+    abs_a = np.abs(a)
+    big = float(np.max(abs_a, initial=0.0))
+    if 0.0 < big < np.finfo(float).tiny:  # below the smallest normal float
+        raise SolverError("matrix entries are all subnormal, so the residual underflows as it is formed")
+    e = math.frexp(big)[1]
+    with np.errstate(over="ignore"):  # an infinite row sum raises below
+        row = math.ldexp(abs_a.sum(axis=1).max(), -e)  # ||a||_inf at the scale 2^-e
+    nonzeros = int(np.count_nonzero(abs_a, axis=1).max())
+    del abs_a
+    if not math.isfinite(row):
         raise SolverError("matrix norm overflows, so the residual cannot be checked")
     resid = a @ vectors
     resid -= vectors * values
-    residual = float(np.max(np.abs(resid), initial=0.0))
     resid = np.ldexp(resid, -e, out=resid)
     resid_sq = float(np.vdot(resid, resid))
     del resid
     gram_err = vectors.T @ vectors
-    gram_err -= np.eye(n)
-    ortho = float(np.max(np.abs(gram_err), initial=0.0))
-    # written as "not <=" so that NaN residuals fail the check too
-    if not residual <= TOL.eigen_residual * scale:
-        raise SolverError(
-            f"eigendecomposition residual {residual:.3g} exceeds {TOL.eigen_residual:g} * {scale:.3g}"
-        )
+    gram_err.flat[:: n + 1] -= 1.0
+    ortho = math.sqrt(np.vdot(gram_err, gram_err))
+    # written as "not <=" so that NaN fails the checks too
     if not ortho <= TOL.eigen_residual:
-        raise SolverError(f"eigenvectors deviate from orthonormal by {ortho:.3g}")
+        raise SolverError(f"eigenvectors deviate from orthonormal by {ortho:.3g} in Frobenius norm")
     # the error radius of the module docstring, evaluated at the scale 2^-e
-    eta = math.sqrt(np.vdot(gram_err, gram_err)) + 2 * n * _gamma(n)
+    eta = ortho + 2 * n * _gamma(n)
     lo, hi = math.ldexp(values[0], -e), math.ldexp(values[-1], -e)  # ascending: max |lam| is max(-lo, hi)
-    rounding = _gamma(int((a != 0).sum(axis=1).max()) + 1) * math.sqrt(n) * (row + max(-lo, hi))
+    rounding = _gamma(nonzeros + 1) * math.sqrt(n) * (row + max(-lo, hi))
     radius = (math.sqrt((1.0 + eta) * resid_sq) + (1.0 + eta) * rounding + eta * eta * (hi - lo)) / (1.0 - eta)
-    return math.ldexp(radius * (1.0 + (n * n + 8) * _EPS), e)
+    radius *= 1.0 + (n * n + 8) * _EPS
+    if not radius <= TOL.eigen_residual * row:
+        raise SolverError(f"error radius {math.ldexp(radius, e):.3g} exceeds {TOL.eigen_residual:g} ||A||_inf")
+    return math.ldexp(radius, e)
 
 
 def _checked_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """LAPACK ``eigh`` of an exactly symmetric float64 matrix, checked by
     ``_check_decomposition``: values, vectors and the values' error radius;
     read-only arrays, shared with every caller that passes the same bytes
-    (``_solve``).
-
-    The check does not depend on the column signs, which only negate
-    entries exactly.
-    """
+    (``_solve``)."""
     return _solve(a.shape, a.tobytes())
 
 
@@ -176,8 +176,7 @@ class Eigenmap:
 
 def eigenmap(g: WeightedGraph, k: int) -> Eigenmap:
     """Embedding by the eigenvectors of the k smallest Laplacian eigenvalues."""
-    if not 1 <= k <= g.n:
-        raise InputError(f"k must be in [1, {g.n}], got {k}")
+    check_block_count(k, g.n)
     values, vectors, radius = _checked_eigh(laplacian(g))
     return Eigenmap(U=_fix_signs(vectors[:, :k]), values=values[:k].copy(), radius=radius)
 

@@ -107,8 +107,7 @@ class Partition:
             raise InputError(f"labels must lie in [0, {self.k})") from None
         if labels.ndim != 1 or labels.size < 1:
             raise InputError("labels must be a nonempty 1-d integer vector")
-        if self.k < 1:
-            raise InputError("k must be at least 1")
+        check_block_count(self.k, labels.size)
         if labels.min() < 0 or labels.max() >= self.k:
             raise InputError(f"labels must lie in [0, {self.k})")
         counts = np.bincount(labels, minlength=self.k)
@@ -143,6 +142,13 @@ class Partition:
 def same_partition(p: Partition, q: Partition) -> bool:
     """True when the two partitions agree up to block relabeling."""
     return p.n == q.n and p.k == q.k and np.array_equal(p.canonical_labels(), q.canonical_labels())
+
+
+def check_block_count(k, n: int) -> None:
+    """Raise InputError unless the block count ``k`` is an integer in [1, n];
+    a bool is not one, nor is a float of integral value."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise InputError(f"k must be an integer in [1, {n}], got {k!r}")
 
 
 def check_partition(g: WeightedGraph, p: Partition) -> None:

@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InputError, SizeError
-from .graphs import Partition, WeightedGraph, ratio_cut_rel, ratio_cuts
+from .graphs import Partition, WeightedGraph, check_block_count, ratio_cut_rel, ratio_cuts
 from .tolerances import DEFAULT as TOL
 
 MAX_ENUM_N = 14
@@ -50,8 +50,7 @@ _CHUNK_ROWS = 8192
 def _check_size(n: int, k: int) -> None:
     if n > MAX_ENUM_N:
         raise SizeError(f"enumeration is capped at n <= {MAX_ENUM_N}, got {n}")
-    if not 1 <= k <= n:
-        raise InputError(f"k must be in [1, {n}], got {k}")
+    check_block_count(k, n)
 
 
 def _split(n: int, k: int) -> int:

@@ -189,10 +189,11 @@ def gap_exact(g: WeightedGraph) -> float:
     that pin one coordinate at the sup-norm value 1 (pinning at -1 is
     covered by sign symmetry) in closed form, and returns a weak-duality
     lower bound for each and the ratio ||Lx||_inf / ||x - mean(x)||_inf of
-    one vector. That ratio is returned, so the value is never below the
-    true gap, and only when the bracket is at most ``gap_bracket *
-    max(1, value)`` wide; otherwise SolverError is raised. Capped at
-    n <= 200.
+    one vector. It runs on ``L`` times 2^-e, e the exponent of ``L``'s
+    largest entry, and the ratio is scaled back exactly, so the value is
+    never below the true gap and scales with the weights bit for bit. It is
+    returned only when the bracket is at most ``gap_bracket * value`` wide;
+    otherwise SolverError is raised. Capped at n <= 200.
     """
     if g.n < 2:
         raise InputError("gap needs at least 2 vertices")
@@ -200,8 +201,11 @@ def gap_exact(g: WeightedGraph) -> float:
         raise SizeError(f"exact gap is capped at n <= {GAP_EXACT_MAX_N}, got {g.n}")
     if not is_connected(g):
         return 0.0
-    lowers, value = gap_certificate(laplacian(g))
+    lap = laplacian(g)
+    e = math.frexp(lap.diagonal().max())[1]  # the largest entry is a degree
+    lowers, value = gap_certificate(np.ldexp(lap, -e, out=lap))
     lower = float(lowers.min())
-    if not value - lower <= TOL.gap_bracket * max(1.0, value):
+    if not value - lower <= TOL.gap_bracket * value:
+        lower, value = math.ldexp(lower, e), math.ldexp(value, e)
         raise SolverError(f"gap bracket [{lower:.12g}, {value:.12g}] did not close")
-    return value
+    return math.ldexp(value, e)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .eigen import eigenmap, fiedler
 from .errors import DisconnectedGraphWarning, InputError, SolverError
-from .graphs import Partition, WeightedGraph, is_connected, ratio_cut, ratio_cut_rel
+from .graphs import Partition, WeightedGraph, check_block_count, is_connected, ratio_cut, ratio_cut_rel
 from .tolerances import DEFAULT as TOL
 
 MAX_LLOYD_ITERATIONS = 200
@@ -190,8 +190,7 @@ def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingR
     if not np.all(np.isfinite(points)):
         raise InputError("points must be finite")
     n = points.shape[0]
-    if not 1 <= k <= n:
-        raise InputError(f"k must be in [1, {n}], got {k}")
+    check_block_count(k, n)
     for name, value in (("seed", seed), ("restarts", restarts)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise InputError(f"{name} must be an integer, got {value!r}")
@@ -228,6 +227,7 @@ def spectral_cluster(
     ``seed`` and ``restarts`` apply to "kmeans" only, where they default to
     0 and 10; "fiedler" raises InputError when either is given.
     """
+    check_block_count(k, g.n)
     if method == "fiedler":
         if seed is not None or restarts is not None:
             raise InputError("seed and restarts apply to method 'kmeans' only")

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 class Tolerances:
     #: accepted asymmetry max|A - A^T| before an input is rejected
     symmetry: float = 1e-10
-    #: orthonormality / eigen-residual budget a decomposition must meet to be
-    #: returned at all; its error radius is measured, not set here
+    #: budget a decomposition must meet to be returned at all: ||V^T V - I||_F
+    #: at most this, and its measured error radius at most this times ||A||_inf
     eigen_residual: float = 1e-8
     #: slack for inequality checks: relative to the optimum in the oracle's
     #: ``unique``, to the one-cluster cost in the k-means restart pick, and
     #: absolute in the Lloyd cost and ball-membership checks
     inequality_slack: float = 1e-9
-    #: width, relative to max(1, value), a certified gap bracket must close to
+    #: width, relative to the value, a certified gap bracket must close to
     gap_bracket: float = 1e-9
     #: accepted max|U^T U - I| of a basis handed to the perturbation routines
     orthonormality: float = 1e-6

@@ -222,7 +222,7 @@ def test_embedding_perturbation_bound_and_recovery(report):
 def test_unbalanced_instance_end_to_end(report, unbalanced):
     start = time.perf_counter()
     g, planted = unbalanced
-    lam2s = rc.intra_connectivities(g, planted)
+    lam2s = rc.certificate(g, planted).lambda2s
     max_d = rc.boundary_degrees(g, planted).max()
     rep = rc.theoretical_bound(g, planted)
     found = rc.spectral_cluster(g, 3, method="kmeans", seed=0)

@@ -39,9 +39,12 @@ def test_boundary_degrees_manual():
     assert list(rc.boundary_degrees(g, p)) == [2.0, 1.0, 1.0]
 
 
+# the intra-block connectivities, as the certificate reports them (``lambda2s``)
+
+
 def test_intra_connectivities_example_blocks():
     g, p = rc.gen_example_blocks(2, 0.9)
-    assert np.allclose(rc.intra_connectivities(g, p), [4.0, 4.0], atol=1e-9)
+    assert np.allclose(rc.certificate(g, p).lambda2s, [4.0, 4.0], atol=1e-9)
 
 
 def test_intra_connectivities_against_scipy():
@@ -49,7 +52,7 @@ def test_intra_connectivities_against_scipy():
     w = np.triu(rng.uniform(0.1, 1, (9, 9)), 1)
     g = rc.WeightedGraph(w + w.T)
     p = rc.Partition(np.array([0, 0, 0, 1, 1, 1, 2, 2, 2]), 3)
-    lam = rc.intra_connectivities(g, p)
+    lam = rc.certificate(g, p).lambda2s
     for j, members in enumerate(p.blocks()):
         sub = rc.induced_subgraph(g, members)
         expected = np.sort(scipy.linalg.eigvalsh(rc.laplacian(sub)))[1]
@@ -60,7 +63,7 @@ def test_intra_connectivities_singleton_warns():
     g = complete_graph(4)
     p = rc.Partition(np.array([0, 1, 1, 1]), 2)
     with pytest.warns(SingletonBlockWarning):
-        lam = rc.intra_connectivities(g, p)
+        lam = rc.certificate(g, p).lambda2s
     assert math.isinf(lam[0])
     assert lam[1] == pytest.approx(3.0, abs=1e-9)
 
@@ -68,7 +71,7 @@ def test_intra_connectivities_singleton_warns():
 def test_intra_connectivities_disconnected_block_is_zero():
     g = two_disjoint_pairs()
     p = rc.Partition(np.zeros(4, dtype=int), 1)
-    lam = rc.intra_connectivities(g, p)
+    lam = rc.certificate(g, p).lambda2s
     assert lam[0] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -95,7 +98,7 @@ def test_intra_connectivities_equal_induced_subgraph_lambda2_bit_for_bit(unbalan
     for g, p in cases:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            lam = rc.intra_connectivities(g, p)
+            lam = rc.certificate(g, p).lambda2s
             want = _lambda2s_by_induced_subgraphs(g, p)
         assert lam.tobytes() == want.tobytes()
         has_singleton = bool(np.any(p.sizes() == 1))
@@ -127,7 +130,7 @@ def test_block_lambda2s_check_every_solve(monkeypatch):
     g, p = rc.gen_example_blocks(2, 0.9)
     monkeypatch.setattr(eigen.np.linalg, "eigh", non_orthonormal)
     with pytest.raises(SolverError):
-        rc.intra_connectivities(g, p)
+        rc.certificate(g, p)
 
 
 def test_certificate_passing_regime():

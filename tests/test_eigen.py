@@ -93,7 +93,9 @@ def test_repeated_runs_identical():
 
 
 def test_sym_eig_rejects_corrupted_basis(monkeypatch):
-    g = random_graph(np.random.default_rng(31), 8)
+    # at every weight scale: the check is relative to the matrix, with no
+    # floor that turns it absolute below norm 1
+    w = random_graph(np.random.default_rng(31), 8).weights
     eigh = np.linalg.eigh
 
     def swapped_columns(m):
@@ -107,8 +109,9 @@ def test_sym_eig_rejects_corrupted_basis(monkeypatch):
 
     for fake in (swapped_columns, non_orthonormal):
         monkeypatch.setattr(eigen.np.linalg, "eigh", fake)
-        with pytest.raises(SolverError):
-            rc.eigenmap(g, g.n)
+        for scale in (1.0, 1e-3, 1e-6, 1e-9, 1e-12, 2.0 ** 60, 2.0 ** -60):
+            with pytest.raises(SolverError):
+                rc.eigenmap(rc.WeightedGraph(scale * w), 8)
 
 
 def test_sym_eig_reports_lapack_failure(monkeypatch):
@@ -143,6 +146,10 @@ def test_eigenmap_shapes_and_errors():
         rc.eigenmap(g, 0)
     with pytest.raises(InputError):
         rc.eigenmap(g, 4)
+    # k is an integer: a bool or a float is refused, not read as a count
+    for k in (True, 2.0, 2.5):
+        with pytest.raises(InputError, match="k must be an integer"):
+            rc.eigenmap(g, k)
 
 
 def test_eigenmap_first_column_is_constant():
@@ -202,8 +209,8 @@ def test_lambda2_checks_its_solve(monkeypatch):
 
 
 def test_solves_whose_matrix_norm_overflows_raise():
-    # the Laplacian's Frobenius norm overflows, so a residual bound scaled by
-    # it would pass anything
+    # the Laplacian's norm ||L||_inf (largest absolute row sum) overflows, so
+    # a bound on the error radius scaled by it would pass anything
     g = rc.WeightedGraph([[0.0, 1e308], [1e308, 0.0]])
     with np.errstate(over="ignore"):
         with pytest.raises(SolverError, match="overflows"):
@@ -215,8 +222,8 @@ def test_solves_whose_matrix_norm_overflows_raise():
 
 
 def test_solves_whose_squared_entries_overflow_are_checked():
-    # ||L||_F = 2e200 is finite although the squared entries overflow; the
-    # check takes the norm at a power-of-two scale, so nothing overflows
+    # the squared entries overflow, but the check forms the residual's norm
+    # at a power-of-two scale, so nothing overflows
     g = rc.WeightedGraph([[0.0, 1e200], [1e200, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -226,7 +233,7 @@ def test_solves_whose_squared_entries_overflow_are_checked():
         assert np.array_equal(emb.values, [0.0, 2e200])
         assert np.allclose(np.abs(emb.U), np.sqrt(0.5), rtol=1e-15)
         assert np.allclose(rc.fiedler(g), [np.sqrt(0.5), -np.sqrt(0.5)], rtol=1e-15)
-        # an indefinite matrix with ||A||_F = 1.41e308: finite, so checked
+        # an indefinite matrix with ||A||_inf = 1e308: finite, so checked
         values, vectors, _ = eigen._checked_eigh(np.array([[0.0, 1e308], [1e308, 0.0]]))
     assert np.array_equal(values, [-1e308, 1e308])
     assert np.allclose(np.abs(vectors), np.sqrt(0.5), rtol=1e-15)

@@ -1,10 +1,13 @@
 """Spectral decisions on measured error bars.
 
 Every checked solve returns an error radius that bounds the error of each
-eigenvalue (``eigen`` module docstring). The certificate, its disconnection
+eigenvalue (``eigen`` module docstring), and is returned only when that
+radius is small relative to the matrix. The certificate, its disconnection
 test and the perturbation bound's eigengap check decide on that radius, so
 they claim only what they prove and do not change under a vertex order or
-a power-of-two scaling of the weights. numpy only; no scipy.
+a power-of-two scaling of the weights. The exact sup-norm gap closes its
+bracket relative to the value, at the Laplacian's own scale. numpy only; no
+scipy.
 """
 import math
 import warnings
@@ -13,8 +16,8 @@ import numpy as np
 import pytest
 
 import ratiocut as rc
-from ratiocut import eigen
-from ratiocut.errors import HypothesisViolation
+from ratiocut import eigen, simplex
+from ratiocut.errors import HypothesisViolation, SolverError
 
 
 def relabelled(w, labels, perm):
@@ -80,6 +83,60 @@ def test_radius_of_exact_decompositions_is_rounding_only():
     assert np.array_equal(values, [1.0, 2.0, 3.0])
     assert radius <= 10 * np.finfo(float).eps * 3.0
     assert eigen._checked_eigh(np.zeros((4, 4)))[2] == 0.0
+
+
+def perturbed(values, vectors):
+    """Decompositions near ``(values, vectors)``: columns swapped, one column
+    stretched, and the values moved by relative steps from 1e-6 to 1e-10,
+    some beyond the check's budget and some within it."""
+    stretched = vectors.copy()
+    stretched[:, 0] *= 1.0 + 1e-6
+    return ([(values, vectors[:, ::-1]), (values, stretched)]
+            + [(values * (1.0 + step), vectors) for step in (1e-6, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 1e-10)])
+
+
+def check_outcome(a, values, vectors):
+    try:
+        return eigen._check_decomposition(a, values, vectors)
+    except SolverError:
+        return None
+
+
+def test_check_is_the_same_at_every_power_of_two_scale():
+    # the radius scales exactly with the matrix, and the gate is relative to
+    # ||A||_inf with no floor: the same inputs raise at every scale
+    rng = np.random.default_rng(29)
+    w = np.triu(rng.uniform(0.0, 3.0, (12, 12)) * (rng.random((12, 12)) < 0.5), 1)
+    indefinite = rng.normal(size=(9, 9))
+    mats = [rc.laplacian(rc.WeightedGraph(x)) for x in (path_weights(30), star_weights(9), w + w.T)]
+    mats.append(indefinite + indefinite.T)
+    outcomes = set()
+    for a in mats:
+        values, vectors = np.linalg.eigh(a)
+        radius = eigen._check_decomposition(a, values, vectors)
+        near = [(vals, vecs, check_outcome(a, vals, vecs)) for vals, vecs in perturbed(values, vectors)]
+        outcomes.update(want is None for _, _, want in near)
+        for e in range(-60, 61):
+            assert check_outcome(np.ldexp(a, e), np.ldexp(values, e), vectors) == math.ldexp(radius, e)
+            for vals, vecs, want in near:
+                got = check_outcome(np.ldexp(a, e), np.ldexp(vals, e), vecs)
+                assert got == (None if want is None else math.ldexp(want, e)), e
+    assert outcomes == {True, False}  # some of the perturbed inputs pass, some raise
+
+
+def test_all_subnormal_weights_are_refused():
+    # the residual of such a Laplacian underflows as it is formed, so no
+    # radius can be proved; at the smallest normal weight it is checked
+    for tiny in (5e-324, 1e-320, 1e-310):
+        g = rc.WeightedGraph(tiny * complete_weights(4))
+        with pytest.raises(SolverError, match="subnormal"):
+            rc.lambda2(g)
+        with pytest.raises(SolverError, match="subnormal"):
+            rc.eigenmap(g, 2)
+        with pytest.raises(SolverError, match="subnormal"):
+            rc.certificate(g, rc.Partition([0, 0, 0, 0], 1))
+    emb = rc.eigenmap(rc.WeightedGraph(np.finfo(float).tiny * complete_weights(2)), 2)
+    assert np.abs(emb.values - [0.0, 2 * np.finfo(float).tiny]).max() <= emb.radius
 
 
 # ----------------------------------------------------- the certificate
@@ -217,3 +274,38 @@ def test_eigengap_check_reads_the_radius():
         else:
             with pytest.raises(HypothesisViolation, match="eigengap"):
                 rc.theoretical_bound(g, p)
+
+
+# ------------------------------------------------------- the exact gap
+
+
+def test_gap_of_a_pair_at_extreme_weights():
+    # K2 of weight a has gap 2a. Beside entries of size a, the 1/n of the
+    # closed form's inverse L + 11^T / n is lost (a = 1e100) or swamps L
+    # (a = 1e-150), so it is formed at the Laplacian's own scale
+    for a in (1e100, 1e-100, 1e150, 1e-150):
+        g = rc.WeightedGraph([[0.0, a], [a, 0.0]])
+        value = rc.gap_exact(g)
+        assert value == pytest.approx(2.0 * a, rel=4e-16, abs=0.0)
+        e = math.frexp(a)[1]  # of the Laplacian's largest entry, its degree a
+        lowers, upper = simplex.gap_certificate(np.ldexp(rc.laplacian(g), -e))
+        assert value == math.ldexp(upper, e)
+        assert upper - lowers.min() <= 4e-16 * upper
+
+
+def test_gap_bracket_is_relative_to_the_value():
+    # the path 0-1-2 with weights 1 and 1e-20: its gap is about 1e-20, and
+    # the bracket's lower end is -2.5e-17, so no value is proved; an
+    # absolute width of 1e-9 would have let 1.5e-16 through
+    w = path_weights(3)
+    w[1, 2] = w[2, 1] = 1e-20
+    with pytest.raises(SolverError, match="did not close"):
+        rc.gap_exact(rc.WeightedGraph(w))
+    # and the value scales with the weights bit for bit, far out both ways
+    rng = np.random.default_rng(31)
+    for n in (4, 9, 16):
+        w = np.triu(rng.uniform(0.1, 2.0, (n, n)), 1)
+        g = rc.WeightedGraph(w + w.T)
+        value = rc.gap_exact(g)
+        for e in (*range(-60, 61, 10), -900, -500, 500, 900):
+            assert rc.gap_exact(scaled(g, e)) == math.ldexp(value, e)

@@ -4,7 +4,10 @@
 pinned program's optimum and the ratio ||Lx||_inf / ||x - mean(x)||_inf of
 one real vector, an upper bound on the gap (the smallest optimum over all
 pins). HiGHS solves the same programs as an independent route.
+``gap_exact`` runs it on the Laplacian at its own scale: ``L`` times 2^-e,
+e the exponent of its largest entry.
 """
+import math
 import warnings
 
 import numpy as np
@@ -37,6 +40,12 @@ def grid_weights(rows, cols):
             if r + 1 < rows:
                 w[v, v + cols] = w[v + cols, v] = 1.0
     return w
+
+
+def own_scale_certificate(lap):
+    """``gap_certificate`` of ``lap`` times 2^-e, as ``gap_exact`` runs it, and e."""
+    e = int(np.frexp(lap.max())[1])
+    return (*simplex.gap_certificate(np.ldexp(lap, -e)), e)
 
 
 def bracket_families():
@@ -80,10 +89,13 @@ def test_certificate_brackets_the_highs_optimum(name, weights, highs_pinned):
     lowers, upper = simplex.gap_certificate(lap)
     assert np.all(lowers <= optima + 1e-9 * np.maximum(1.0, optima)), name
     assert upper >= gap - slack
-    # the returned value is the certificate's upper end: never below the
-    # gap, and above it by at most the bracket width
-    assert exact == upper
-    assert gap - slack <= exact <= gap + TOL.gap_bracket * max(1.0, gap) + slack
+    # the returned value is the upper end of the certificate at the
+    # Laplacian's own scale: never below the gap, and above it by at most
+    # the bracket width, relative to the value
+    lowers, upper, e = own_scale_certificate(lap)
+    assert exact == math.ldexp(upper, e)
+    assert upper - lowers.min() <= TOL.gap_bracket * upper
+    assert gap - slack <= exact <= gap + TOL.gap_bracket * exact + slack
 
 
 def corrupt_inverse(monkeypatch):
@@ -138,4 +150,9 @@ def test_constant_inverse_raises_solver_error_before_dividing():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="constant"):
-                rc.gap_exact(g)
+                simplex.gap_certificate(rc.laplacian(g))
+            # at the Laplacian's own scale the 1/n no longer swamps L^+, and
+            # the bracket closes relative to the value
+            lowers, upper, e = own_scale_certificate(rc.laplacian(g))
+            assert upper - lowers.min() <= TOL.gap_bracket * upper
+            assert rc.gap_exact(g) == math.ldexp(upper, e)

@@ -112,6 +112,9 @@ def test_partition_validation():
         rc.Partition(np.array([0, 1]), 1)  # label out of range
     with pytest.raises(InputError):
         rc.Partition(np.array([], dtype=int), 1)
+    for k in (0, 4, True, 2.0, 2.5):  # k is an integer in [1, n], not a bool or a float
+        with pytest.raises(InputError, match="k must be an integer"):
+            rc.Partition(np.array([1, 0, 1]), k)
     p = rc.Partition(np.array([1, 0, 1]), 2)
     assert p.n == 3 and p.k == 2
     # floats are not truncated and a boolean mask is not read as labels
@@ -245,7 +248,7 @@ def test_ratio_cut_matches_trace_formula():
 def test_partition_of_the_wrong_size_is_an_input_error_everywhere():
     g = rc.WeightedGraph(np.ones((7, 7)))
     entry_points = [rc.ratio_cut, eigen.block_lambda2s, graphs.cross_weights, rc.boundary_degrees,
-                    rc.intra_connectivities, rc.certificate, rc.theoretical_bound]
+                    rc.certificate, rc.theoretical_bound]
     # shorter, with blocks the theorem accepts; longer; and too small for the theorem
     for labels in ([0, 0, 0, 1, 1, 1], [0] * 4 + [1] * 4, [0, 1]):
         p = rc.Partition(labels, 2)
@@ -377,7 +380,7 @@ def test_gen_example_blocks_intra_connectivity():
     # connectivity 2n
     for n in (1, 2, 3):
         g, p = rc.gen_example_blocks(n, 1.0)
-        lam = rc.intra_connectivities(g, p)
+        lam = rc.certificate(g, p).lambda2s
         assert np.allclose(lam, 2 * n, atol=1e-9)
 
 
@@ -401,7 +404,7 @@ def test_gen_planted_blocks():
     # cross edges connect consecutive blocks only
     assert rc.cut_weight(g, p.block(0)) == 0.25
     assert rc.cut_weight(g, p.block(1)) == 0.5
-    lam = rc.intra_connectivities(g, p)
+    lam = rc.certificate(g, p).lambda2s
     assert np.allclose(lam, sizes, atol=1e-9)
 
 

@@ -118,6 +118,13 @@ def test_enumeration_guards():
         rc.enumerate_partitions(4, 0)
     with pytest.raises(InputError):
         rc.enumerate_partitions(4, 5)
+    # k is an integer: a bool or a float is refused, not read as a count
+    g = rc.WeightedGraph(1.0 - np.eye(5))
+    for k in (True, 2.0, 2.5):
+        with pytest.raises(InputError, match="k must be an integer"):
+            rc.enumerate_partitions(5, k)
+        with pytest.raises(InputError, match="k must be an integer"):
+            rc.min_ratio_cut_bruteforce(g, k)
 
 
 def test_bruteforce_disjoint_pairs():

@@ -350,6 +350,9 @@ def test_kmeans_validation():
     points = np.zeros((3, 2))
     with pytest.raises(InputError):
         rc.kmeans_round(points, 4)
+    for k in (True, 2.0, 2.5):  # k is an integer, not a bool or a float
+        with pytest.raises(InputError, match="k must be an integer"):
+            rc.kmeans_round(points, k)
     with pytest.raises(InputError):
         rc.kmeans_round(points, 2, restarts=0)
     with pytest.raises(InputError):
@@ -428,6 +431,10 @@ def test_spectral_cluster_validation():
         rc.spectral_cluster(g, 2, seed=1.5)
     with pytest.raises(InputError, match="restarts must be an integer"):
         rc.spectral_cluster(g, 2, restarts=2.5)
+    for k in (True, 2.0, 2.5):  # k is an integer, not a bool or a float
+        for method in ("kmeans", "fiedler"):
+            with pytest.raises(InputError, match="k must be an integer"):
+                rc.spectral_cluster(g, k, method=method)
 
 
 def test_fiedler_refuses_kmeans_arguments():
