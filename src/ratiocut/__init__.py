@@ -34,7 +34,6 @@ from .fileio import (
 from .graphs import (
     Partition,
     WeightedGraph,
-    connected_components,
     cut_weight,
     diameter,
     gen_example_blocks,
@@ -46,7 +45,7 @@ from .graphs import (
     ratio_cut,
     same_partition,
 )
-from .oracle import MAX_ENUM_N, OracleResult, enumerate_partitions, min_ratio_cut_bruteforce
+from .oracle import MAX_ENUM_N, OracleResult, min_ratio_cut_bruteforce
 from .perturb import (
     GAP_EXACT_MAX_N,
     PerturbationReport,
@@ -97,11 +96,9 @@ __all__ = [
     "canonical_json",
     "canonical_uiso",
     "certificate",
-    "connected_components",
     "cut_weight",
     "diameter",
     "eigenmap",
-    "enumerate_partitions",
     "fiedler",
     "fiedler_bisect",
     "gap_exact",

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SolverError
-from .graphs import Partition, WeightedGraph, check_block_count, check_partition, laplacian, weights_laplacian
+from .graphs import Partition, WeightedGraph, check_int, check_partition, laplacian, weights_laplacian
 from .tolerances import DEFAULT as TOL
 
 _EPS = float(np.finfo(float).eps)
@@ -176,7 +176,7 @@ class Eigenmap:
 
 def eigenmap(g: WeightedGraph, k: int) -> Eigenmap:
     """Embedding by the eigenvectors of the k smallest Laplacian eigenvalues."""
-    check_block_count(k, g.n)
+    check_int("k", k, 1, g.n)
     values, vectors, radius = _checked_eigh(laplacian(g))
     return Eigenmap(U=_fix_signs(vectors[:, :k]), values=values[:k].copy(), radius=radius)
 

@@ -91,23 +91,11 @@ class Partition:
     k: int
 
     def __post_init__(self):
-        raw = self.labels
-        # a mask or a float must not be read as labels; numpy's bool is no
-        # integer type, but Python's is
-        if isinstance(raw, np.ndarray):
-            integral = np.issubdtype(raw.dtype, np.integer)
-        else:
-            integral = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                           for v in np.array(raw, dtype=object).flat)
-        if not integral:
+        labels = _int_vector(self.labels, "labels must be a nonempty 1-d integer vector",
+                             f"labels must lie in [0, {self.k})")
+        if labels.size < 1:
             raise InputError("labels must be a nonempty 1-d integer vector")
-        try:
-            labels = np.array(raw, dtype=int)
-        except OverflowError:
-            raise InputError(f"labels must lie in [0, {self.k})") from None
-        if labels.ndim != 1 or labels.size < 1:
-            raise InputError("labels must be a nonempty 1-d integer vector")
-        check_block_count(self.k, labels.size)
+        check_int("k", self.k, 1, labels.size)
         if labels.min() < 0 or labels.max() >= self.k:
             raise InputError(f"labels must lie in [0, {self.k})")
         counts = np.bincount(labels, minlength=self.k)
@@ -144,11 +132,32 @@ def same_partition(p: Partition, q: Partition) -> bool:
     return p.n == q.n and p.k == q.k and np.array_equal(p.canonical_labels(), q.canonical_labels())
 
 
-def check_block_count(k, n: int) -> None:
-    """Raise InputError unless the block count ``k`` is an integer in [1, n];
-    a bool is not one, nor is a float of integral value."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise InputError(f"k must be an integer in [1, {n}], got {k!r}")
+def _is_int(value) -> bool:
+    # numpy's bool is no integer type, but Python's is; a float of integral
+    # value is not read as a count either
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, lo: int, hi: int = np.iinfo(np.int64).max) -> None:
+    """Raise InputError unless ``value`` is an integer in [lo, hi]: the one
+    rule for a scalar count, size, index or seed."""
+    if not _is_int(value) or not lo <= value <= hi:
+        raise InputError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def _int_vector(values, kind: str, span: str) -> np.ndarray:
+    """``values`` as a fresh 1-d int64 array, by the one rule for integer
+    entries (labels, vertex indices, block sizes): InputError(kind) unless it
+    is 1-d and each entry an integer by ``check_int``'s rule, InputError(span)
+    if an entry does not fit int64."""
+    raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    integral = all(map(_is_int, raw.flat)) if raw.dtype == object else np.issubdtype(raw.dtype, np.integer)
+    if raw.ndim != 1 or not integral:
+        raise InputError(kind)
+    try:
+        return raw.astype(np.int64)
+    except OverflowError:
+        raise InputError(span) from None
 
 
 def check_partition(g: WeightedGraph, p: Partition) -> None:
@@ -175,11 +184,8 @@ def weights_laplacian(w: np.ndarray) -> np.ndarray:
 
 
 def _check_subset(n: int, subset) -> np.ndarray:
-    items = list(subset)
-    # a bool is an int to Python, but a mask or a float must not be read as indices
-    if any(isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) for v in items):
-        raise InputError("subset entries must be integer vertex indices")
-    idx = np.array(items, dtype=int)
+    idx = _int_vector(list(subset), "subset entries must be integer vertex indices",
+                      f"vertex index out of range [0, {n})")
     if idx.size == 0:
         return idx
     if idx.min() < 0 or idx.max() >= n:
@@ -271,20 +277,9 @@ def induced_subgraph(g: WeightedGraph, subset) -> WeightedGraph:
     return WeightedGraph(g.weights[np.ix_(idx, idx)])
 
 
-def connected_components(g: WeightedGraph) -> np.ndarray:
-    """Component label per vertex via breadth-first search on positive weights."""
-    adj = _neighbours(g)
-    comp = np.full(g.n, -1, dtype=int)
-    current = 0
-    for start in range(g.n):
-        if comp[start] < 0:
-            comp[np.asarray(_bfs(adj, start)) >= 0] = current
-            current += 1
-    return comp
-
-
 def is_connected(g: WeightedGraph) -> bool:
-    return int(connected_components(g).max()) == 0
+    """True when every vertex is reachable from vertex 0 over positive weights."""
+    return min(_bfs(_neighbours(g), 0)) >= 0
 
 
 def _neighbours(g: WeightedGraph) -> list[list[int]]:
@@ -334,8 +329,7 @@ def gen_example_blocks(n: int, c: float) -> tuple[WeightedGraph, Partition]:
     blocks 3-4, and its certificate ratio is exactly ``c/2``: the planted
     split is certified optimal iff ``c <= 1``.
     """
-    if n < 1:
-        raise InputError("block size n must be >= 1")
+    check_int("block size n", n, 1)
     if c < 0:
         raise InputError("cross weight c must be >= 0")
     ones = np.ones((n, n))
@@ -385,11 +379,12 @@ def gen_planted_blocks(sizes, intra: float, cross: float) -> tuple[WeightedGraph
     maximum boundary degree is exactly ``cross`` and the smallest intra-block
     algebraic connectivity is ``intra * min(sizes)``.
     """
-    sizes = [int(s) for s in sizes]
+    bad = "every block size must be an integer >= 1"
+    sizes = _int_vector(sizes, bad, bad).tolist()
     if len(sizes) == 0:
         raise InputError("sizes must be nonempty")
-    if any(s < 1 for s in sizes):
-        raise InputError("every block size must be >= 1")
+    if min(sizes) < 1:
+        raise InputError(bad)
     if intra < 0 or cross < 0:
         raise InputError("weights must be >= 0")
     n = sum(sizes)

@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InputError, SizeError
-from .graphs import Partition, WeightedGraph, check_block_count, ratio_cut_rel, ratio_cuts
+from .graphs import Partition, WeightedGraph, check_int, ratio_cut_rel, ratio_cuts
 from .tolerances import DEFAULT as TOL
 
 MAX_ENUM_N = 14
@@ -45,12 +45,6 @@ _TABLE_ROWS = 1024
 # rescored when all of them tie; four times as many took a third less time
 # at n = 14, k = 4 but raised its peak memory by about half a megabyte
 _CHUNK_ROWS = 8192
-
-
-def _check_size(n: int, k: int) -> None:
-    if n > MAX_ENUM_N:
-        raise SizeError(f"enumeration is capped at n <= {MAX_ENUM_N}, got {n}")
-    check_block_count(k, n)
 
 
 def _split(n: int, k: int) -> int:
@@ -107,22 +101,6 @@ class _Strings:
     def labels(self, prefix: np.ndarray, suffix: np.ndarray) -> np.ndarray:
         """Label rows of the strings ``(prefix[f], suffix[f])``, as ``int8``."""
         return np.concatenate([self.prefixes[prefix], self.suffixes[suffix]], axis=1)
-
-
-def enumerate_partitions(n: int, k: int) -> Iterator[Partition]:
-    """Return an iterator over each partition of n items into exactly k nonempty blocks.
-
-    Encoded as restricted-growth strings in lexicographic order: position 0
-    is always block 0, and a position may open at most one new block beyond
-    those already seen. Capped at n <= 14; the count grows as the Stirling
-    number S(n, k). The arguments are checked when this is called, before
-    any partition is generated.
-    """
-    _check_size(n, k)
-    st = _Strings(n, k, _split(n, k))
-    return (Partition(np.concatenate([prefix, suffix]), k)
-            for prefix, m in zip(st.prefixes, st.used.tolist())
-            for suffix in st.suffixes[st.admits[m]])
 
 
 def _indicators(labels: np.ndarray, k: int) -> np.ndarray:
@@ -214,7 +192,9 @@ def min_ratio_cut_bruteforce(g: WeightedGraph, k: int) -> OracleResult:
     update would then leave everything as it is. A NaN batch value, a weight sum that
     overflowed to inf multiplied by 0, bounds nothing and is always rescored.
     """
-    _check_size(g.n, k)
+    if g.n > MAX_ENUM_N:
+        raise SizeError(f"enumeration is capped at n <= {MAX_ENUM_N}, got {g.n}")
+    check_int("k", k, 1, g.n)
     rel = ratio_cut_rel(g.n)
     st = _Strings(g.n, k, _split(g.n, k))
     width = len(st.suffixes)

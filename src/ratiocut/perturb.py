@@ -190,10 +190,13 @@ def gap_exact(g: WeightedGraph) -> float:
     covered by sign symmetry) in closed form, and returns a weak-duality
     lower bound for each and the ratio ||Lx||_inf / ||x - mean(x)||_inf of
     one vector. It runs on ``L`` times 2^-e, e the exponent of ``L``'s
-    largest entry, and the ratio is scaled back exactly, so the value is
-    never below the true gap and scales with the weights bit for bit. It is
-    returned only when the bracket is at most ``gap_bracket * value`` wide;
-    otherwise SolverError is raised. Capped at n <= 200.
+    largest entry, and the ratio is scaled back exactly, so the value scales
+    with the weights bit for bit. The exact ratio is never below the true
+    gap, but the value is that ratio as computed, so it can fall below the
+    gap by the rounding of forming it (K2 of weight a, gap 2a, returns 2a
+    within 2.6e-16 relative, on either side). It is returned only when the
+    bracket is at most ``gap_bracket * value`` wide; otherwise SolverError
+    is raised. Capped at n <= 200.
     """
     if g.n < 2:
         raise InputError("gap needs at least 2 vertices")

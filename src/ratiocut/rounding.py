@@ -17,7 +17,7 @@ import numpy as np
 
 from .eigen import eigenmap, fiedler
 from .errors import DisconnectedGraphWarning, InputError, SolverError
-from .graphs import Partition, WeightedGraph, check_block_count, is_connected, ratio_cut, ratio_cut_rel
+from .graphs import Partition, WeightedGraph, check_int, is_connected, ratio_cut, ratio_cut_rel
 from .tolerances import DEFAULT as TOL
 
 MAX_LLOYD_ITERATIONS = 200
@@ -190,14 +190,9 @@ def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingR
     if not np.all(np.isfinite(points)):
         raise InputError("points must be finite")
     n = points.shape[0]
-    check_block_count(k, n)
-    for name, value in (("seed", seed), ("restarts", restarts)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InputError(f"{name} must be an integer, got {value!r}")
-    if restarts < 1:
-        raise InputError("restarts must be at least 1")
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
+    check_int("k", k, 1, n)
+    check_int("seed", seed, 0)
+    check_int("restarts", restarts, 1)
 
     starts = [_farthest_first(points, k)]
     for t in range(1, restarts):
@@ -227,7 +222,7 @@ def spectral_cluster(
     ``seed`` and ``restarts`` apply to "kmeans" only, where they default to
     0 and 10; "fiedler" raises InputError when either is given.
     """
-    check_block_count(k, g.n)
+    check_int("k", k, 1, g.n)
     if method == "fiedler":
         if seed is not None or restarts is not None:
             raise InputError("seed and restarts apply to method 'kmeans' only")
@@ -337,7 +332,7 @@ def hyperplane_margin_bound(c1, c2, radius: float, x, y) -> tuple[float, float]:
     c2 = np.asarray(c2, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if radius < 0:
+    if not radius >= 0:
         raise InputError("radius must be nonnegative")
     if np.linalg.norm(x - c1) > radius + TOL.inequality_slack:
         raise InputError("x lies outside the first ball")
@@ -362,8 +357,7 @@ def recovery_diagnostics(measured: float, n: int) -> dict:
     recovery thresholds reported for two rounding analyses (C = 1 for the
     bisector route, C = 1/5 for the pairwise-margin route). Diagnostic
     only; neither threshold gates any clustering output here."""
-    if n < 1:
-        raise InputError("n must be positive")
+    check_int("n", n, 1)
     t_bisector = 1.0 / math.sqrt(n)
     t_proximity = 0.2 / math.sqrt(n)
     return {

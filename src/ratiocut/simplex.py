@@ -21,8 +21,9 @@ the inner minimum taken at the median of column i. One inverse of
 The value is returned with a certificate rather than trusted:
 
 - ``upper = ||Lx||_inf / ||x - mean(x)||_inf`` for ``x = L^+ u``, ``u`` the
-  +-1 vector of the widest column's upper and lower halves; the ratio of a
-  real vector is never below the gap;
+  +-1 vector of the widest column's upper and lower halves; the exact ratio
+  of a real vector is never below the gap, and ``upper`` is that ratio up
+  to the rounding of computing it;
 - for every pin, the column's centred, l1-normalised values are Lagrange
   multipliers of its program's rows ``-t <= (Lx)_r <= t``, and weak duality
   (Boyd & Vandenberghe, Convex Optimization, section 5.2) turns them into

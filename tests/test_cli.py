@@ -251,7 +251,7 @@ def test_cluster_negative_seed_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert run(["cluster", "--input", g_path, "--k", 2, "--seed", -1,
                 "--partition", tmp_path / "o.txt", "--output", out]) == 2
-    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert capsys.readouterr().err == "error: seed must be an integer in [0, 9223372036854775807], got -1\n"
     assert not out.exists()
 
 

@@ -293,6 +293,16 @@ def test_gap_of_a_pair_at_extreme_weights():
         assert upper - lowers.min() <= 4e-16 * upper
 
 
+def test_gap_of_a_pair_is_within_rounding_of_its_gap():
+    # the value is the computed ratio of a real vector: within rounding of an
+    # upper end of the gap, on either side of it, and the docs say no more
+    a = np.random.default_rng(0).uniform(0.01, 100.0, 2000)
+    value = np.array([rc.gap_exact(rc.WeightedGraph([[0.0, x], [x, 0.0]])) for x in a])
+    assert np.all(np.abs(value - 2.0 * a) <= 4e-16 * 2.0 * a)
+    assert np.any(value < 2.0 * a)
+    assert "can fall below the gap by the rounding" in " ".join(rc.gap_exact.__doc__.split())
+
+
 def test_gap_bracket_is_relative_to_the_value():
     # the path 0-1-2 with weights 1 and 1e-20: its gap is about 1e-20, and
     # the bracket's lower end is -2.5e-17, so no value is proved; an

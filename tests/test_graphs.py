@@ -130,6 +130,63 @@ def test_partition_validation():
     assert list(p.block(1)) == [0, 2]
 
 
+_G = rc.gen_example_blocks(1, 0.5)[0]  # 4 vertices
+_POINTS = np.arange(8.0)[:, None]
+# every public door that takes a count, size, index or seed, with one
+# out-of-range integer for it; the value under test replaces ``v``
+INTEGER_DOORS = {
+    "Partition k": (lambda v: rc.Partition([0, 1, 1], v), 4),
+    "Partition label": (lambda v: rc.Partition([0, 1, v], 3), 3),
+    "eigenmap k": (lambda v: rc.eigenmap(_G, v), 5),
+    "kmeans_round k": (lambda v: rc.kmeans_round(_POINTS, v), 9),
+    "kmeans_round seed": (lambda v: rc.kmeans_round(_POINTS, 2, seed=v), -1),
+    "kmeans_round restarts": (lambda v: rc.kmeans_round(_POINTS, 2, restarts=v), 0),
+    "spectral_cluster k": (lambda v: rc.spectral_cluster(_G, v), 0),
+    "spectral_cluster seed": (lambda v: rc.spectral_cluster(_G, 2, seed=v), -1),
+    "spectral_cluster restarts": (lambda v: rc.spectral_cluster(_G, 2, restarts=v), 0),
+    "min_ratio_cut_bruteforce k": (lambda v: rc.min_ratio_cut_bruteforce(_G, v), 5),
+    "gen_example_blocks n": (lambda v: rc.gen_example_blocks(v, 0.5), 0),
+    "gen_planted_blocks size": (lambda v: rc.gen_planted_blocks([3, v], 1.0, 0.1), 0),
+    "recovery_diagnostics n": (lambda v: rc.recovery_diagnostics(0.1, v), 0),
+    "cut_weight index": (lambda v: rc.cut_weight(_G, [0, v]), 4),
+    "induced_subgraph index": (lambda v: rc.induced_subgraph(_G, [0, v]), -1),
+}
+
+
+@pytest.mark.parametrize("door", sorted(INTEGER_DOORS))
+def test_every_count_size_index_and_seed_is_an_integer_in_range(door):
+    # one rule: a non-bool integer that fits int64 and lies in range; a
+    # float of integral value is not truncated and a bool is not a count
+    call, out_of_range = INTEGER_DOORS[door]
+    for value in (True, 2.0, 2.5, 2 ** 70, out_of_range):
+        with pytest.raises(InputError):
+            call(value)
+    call(2)  # and 2 itself is accepted
+
+
+def test_integer_rules():
+    for value in (1, 3, np.int8(2), np.uint64(3)):
+        graphs.check_int("k", value, 1, 3)
+    for value in (0, 4, True, np.True_, 2.0, np.float64(2), 2.5, "2", None, 2 ** 70):
+        with pytest.raises(InputError, match=r"k must be an integer in \[1, 3\], got "):
+            graphs.check_int("k", value, 1, 3)
+    with pytest.raises(InputError, match="9223372036854775807"):  # the default upper end fits int64
+        graphs.check_int("seed", 2 ** 63, 0)
+    graphs.check_int("seed", 2 ** 63 - 1, 0)
+    assert not hasattr(graphs, "check_block_count")
+    for good in ([1, 0, 1], (1, 0, 1), range(3), [np.uint8(1), 2 ** 63 - 1], np.array([2], dtype=np.uint16)):
+        got = graphs._int_vector(good, "kind", "span")
+        assert got.dtype == np.int64 and got.tolist() == [int(v) for v in good]
+    for bad in ([0.0], [True], [np.True_], np.array([True]), np.array([1.0]), [[1]], np.array([[1]]), 1, [None]):
+        with pytest.raises(InputError, match="kind"):
+            graphs._int_vector(bad, "kind", "span")
+    for bad in ([2 ** 63], [-2 ** 63 - 1], [0, 2 ** 70]):
+        with pytest.raises(InputError, match="span"):
+            graphs._int_vector(bad, "kind", "span")
+    held = np.array([1, 2])
+    assert graphs._int_vector(held, "kind", "span") is not held
+
+
 def test_canonical_labels_first_occurrence():
     p = rc.Partition(np.array([2, 2, 0, 1, 0]), 3)
     assert list(p.canonical_labels()) == [0, 0, 1, 2, 1]
@@ -218,6 +275,12 @@ def test_cut_weight_validates_subset():
             rc.induced_subgraph(edge, bad)
     with pytest.raises(InputError, match="integer vertex indices"):
         rc.induced_subgraph(g, [1.7])
+    # an index too large for int64 is out of range, not an OverflowError
+    for bad in ([0, -2 ** 70], np.array([2 ** 64 - 1], dtype=np.uint64)):
+        with pytest.raises(InputError, match="out of range"):
+            rc.cut_weight(g, bad)
+        with pytest.raises(InputError, match="out of range"):
+            rc.induced_subgraph(g, bad)
     # integer indices of any integer type, and the empty subset, stay valid
     assert rc.cut_weight(edge, np.array([1], dtype=np.int8)) == 1.0
     assert rc.cut_weight(edge, [np.int64(0)]) == 1.0
@@ -280,13 +343,11 @@ def test_connected_components_and_diameter():
     w[0, 1] = w[1, 0] = 1.0
     w[2, 3] = w[3, 2] = 1.0
     g = rc.WeightedGraph(w)
-    comp = rc.connected_components(g)
-    assert comp[0] == comp[1]
-    assert comp[2] == comp[3]
-    assert comp[0] != comp[2]
     assert not rc.is_connected(g)
     with pytest.raises(InputError):
         rc.diameter(g)
+    assert rc.is_connected(rc.WeightedGraph([[0.0]]))  # one vertex is connected
+    assert not hasattr(graphs, "connected_components")  # is_connected is one BFS from vertex 0
 
     p10 = path_graph(10)
     assert rc.is_connected(p10)
@@ -348,18 +409,23 @@ def test_bfs_diameter_and_components_match_boolean_products():
             assert np.array_equal(graphs._bfs(adj, source), dist[source])
         assert rc.diameter(g) == dist.max()
         assert rc.is_connected(g)
-    # disconnected, weighted: components are the reachability classes
+    # disconnected, weighted: connected exactly when vertex 0 reaches every vertex
     rng = np.random.default_rng(6)
     for n in (15, 60):
         w = np.triu(rng.random((n, n)) < 1.5 / n, 1) * rng.uniform(0.1, 2.0, (n, n))
         g = rc.WeightedGraph(w + w.T)
         dist = _hop_distances(g.weights)
-        comp = rc.connected_components(g)
-        assert np.array_equal(comp[:, None] == comp[None, :], dist >= 0)
-        assert np.array_equal(np.unique(comp), np.arange(comp.max() + 1))
+        assert not np.all(dist >= 0)
         assert not rc.is_connected(g)
         with pytest.raises(InputError):
             rc.diameter(g)
+    # vertex 0 reaches all but one vertex, or only itself
+    for isolated in (0, 1, 8):
+        w = 1.0 - np.eye(9)
+        w[isolated, :] = w[:, isolated] = 0.0
+        g = rc.WeightedGraph(w)
+        assert not np.all(_hop_distances(g.weights) >= 0)
+        assert not rc.is_connected(g)
 
 
 def test_gen_example_blocks_structure():
@@ -413,5 +479,11 @@ def test_gen_planted_blocks_validation():
         rc.gen_planted_blocks([], 1.0, 0.1)
     with pytest.raises(InputError):
         rc.gen_planted_blocks([3, 0], 1.0, 0.1)
+    # sizes are integers: a float is refused, not truncated
+    for sizes in ([2.9, 3], np.array([2.0, 3.0])):
+        with pytest.raises(InputError, match="every block size must be an integer >= 1"):
+            rc.gen_planted_blocks(sizes, 1.0, 0.1)
+    for sizes in ([2, 3], (2, 3), np.array([2, 3], dtype=np.int8)):
+        assert rc.gen_planted_blocks(sizes, 1.0, 0.1)[1].sizes().tolist() == [2, 3]
     with pytest.raises(InputError):
         rc.gen_planted_blocks([3, 3], -1.0, 0.1)

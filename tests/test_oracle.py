@@ -52,10 +52,19 @@ def reference_minimum(g, k):
     return tuple(partitions[first].labels), values[first], runner_up, len(values)
 
 
+def walked_strings(n, k):
+    """Every restricted-growth string the oracle walks, in its order: the
+    admitted (prefix, suffix) pairs of ``oracle._Strings``, prefix-major."""
+    st = oracle._Strings(n, k, oracle._split(n, k))
+    prefix, suffix = np.nonzero(st.admits[st.used])
+    return [tuple(row) for row in st.labels(prefix, suffix).tolist()]
+
+
 def loop_minimum(g, k):
-    """The plain per-partition loop: ratio_cut of every enumerated partition, in order."""
+    """The plain per-partition loop: ratio_cut of every walked string, in order."""
     best, best_v, second_v, count = None, math.inf, math.inf, 0
-    for p in rc.enumerate_partitions(g.n, k):
+    for labels in walked_strings(g.n, k):
+        p = rc.Partition(np.array(labels), k)
         v = rc.ratio_cut(g, p)
         count += 1
         if v < best_v:
@@ -78,28 +87,27 @@ def equivalence_graphs(n):
 
 
 def test_counts_against_direct_enumeration():
-    assert len(list(rc.enumerate_partitions(3, 2))) == 3
-    assert len(list(rc.enumerate_partitions(4, 2))) == 7
-    assert len(list(rc.enumerate_partitions(5, 1))) == 1
-    assert len(list(rc.enumerate_partitions(5, 5))) == 1
+    assert len(walked_strings(3, 2)) == len(all_partitions_by_filtering(3, 2)) == 3
+    assert len(walked_strings(4, 2)) == len(all_partitions_by_filtering(4, 2)) == 7
+    assert len(walked_strings(5, 1)) == len(all_partitions_by_filtering(5, 1)) == 1
+    assert len(walked_strings(5, 5)) == len(all_partitions_by_filtering(5, 5)) == 1
 
 
 def test_counts_match_stirling_recurrence():
     for n, k in [(4, 2), (5, 3), (6, 2), (7, 3), (8, 4), (10, 4)]:
-        count = sum(1 for _ in rc.enumerate_partitions(n, k))
-        assert count == stirling2(n, k)
+        assert len(walked_strings(n, k)) == stirling2(n, k)
 
 
 def test_enumeration_matches_filtering_route():
     for n, k in [(4, 2), (5, 3), (6, 4)]:
-        mine = {tuple(p.labels) for p in rc.enumerate_partitions(n, k)}
-        assert mine == all_partitions_by_filtering(n, k)
+        mine = walked_strings(n, k)
+        assert len(set(mine)) == len(mine)
+        assert set(mine) == all_partitions_by_filtering(n, k)
 
 
 def test_enumeration_is_lexicographic_and_rgs():
     previous = None
-    for p in rc.enumerate_partitions(6, 3):
-        labels = tuple(p.labels)
+    for labels in walked_strings(6, 3):
         assert labels[0] == 0
         # restricted growth: each value at most one beyond the running max
         running = 0
@@ -109,22 +117,20 @@ def test_enumeration_is_lexicographic_and_rgs():
         if previous is not None:
             assert labels > previous
         previous = labels
+    assert walked_strings(6, 3) == [tuple(p.labels) for p in partitions_in_lexicographic_order(6, 3)]
 
 
 def test_enumeration_guards():
+    # the oracle takes n from a validated graph only
     with pytest.raises(SizeError):
-        rc.enumerate_partitions(15, 2)
-    with pytest.raises(InputError):
-        rc.enumerate_partitions(4, 0)
-    with pytest.raises(InputError):
-        rc.enumerate_partitions(4, 5)
-    # k is an integer: a bool or a float is refused, not read as a count
-    g = rc.WeightedGraph(1.0 - np.eye(5))
-    for k in (True, 2.0, 2.5):
-        with pytest.raises(InputError, match="k must be an integer"):
-            rc.enumerate_partitions(5, k)
+        rc.min_ratio_cut_bruteforce(rc.WeightedGraph(np.zeros((15, 15))), 2)
+    g = rc.WeightedGraph(1.0 - np.eye(4))
+    for k in (0, 5, True, 2.0, 2.5):  # k is an integer in [1, n], not a bool or a float
         with pytest.raises(InputError, match="k must be an integer"):
             rc.min_ratio_cut_bruteforce(g, k)
+    # the test-only enumerator is gone: the oracle walks oracle._Strings
+    assert not hasattr(oracle, "enumerate_partitions")
+    assert "enumerate_partitions" not in rc.__all__
 
 
 def test_bruteforce_disjoint_pairs():
@@ -316,7 +322,7 @@ def test_batch_values_within_rel_of_ratio_cut_at_every_split():
                 assert np.all(np.abs(batch - exact) <= rel * exact), (n, k, s)
                 seen += map(tuple, labels.tolist())
             # every string exactly once, in enumeration order
-            assert seen == [tuple(p.labels.tolist()) for p in rc.enumerate_partitions(n, k)], (n, k, s)
+            assert seen == [tuple(p.labels.tolist()) for p in partitions_in_lexicographic_order(n, k)], (n, k, s)
 
 
 def test_bruteforce_is_scale_equivariant():

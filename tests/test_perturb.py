@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 import ratiocut as rc
 from ratiocut import graphs
@@ -420,6 +419,7 @@ def test_gap_exact_path3_frozen_value():
 
 def test_gap_exact_against_scipy_lps():
     """Same programs, independent solver."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
 
     def gap_by_scipy(g):
         lap = rc.laplacian(g)

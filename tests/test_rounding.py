@@ -368,7 +368,7 @@ def test_kmeans_validation():
             rc.kmeans_round([[0.0, 1.0], [1.0, bad], [2.0, 0.0]], 1, restarts=1)
     # the restart generators take nonnegative seeds only, also when unused
     for restarts in (1, 10):
-        with pytest.raises(InputError, match="seed must be nonnegative"):
+        with pytest.raises(InputError, match=r"seed must be an integer in \[0, "):
             rc.kmeans_round(np.arange(6.0)[:, None], 2, seed=-1, restarts=restarts)
     # seed and restarts are integers: not floats, not bools
     for kwargs in ({"seed": 1.5}, {"restarts": 2.5}, {"seed": True}, {"restarts": True},
@@ -425,7 +425,7 @@ def test_spectral_cluster_validation():
         rc.spectral_cluster(g, 3, method="fiedler")
     with pytest.raises(InputError):
         rc.spectral_cluster(g, 2, method="ward")
-    with pytest.raises(InputError, match="seed must be nonnegative"):
+    with pytest.raises(InputError, match=r"seed must be an integer in \[0, "):
         rc.spectral_cluster(g, 2, seed=-1)
     with pytest.raises(InputError, match="seed must be an integer"):
         rc.spectral_cluster(g, 2, seed=1.5)
@@ -570,6 +570,10 @@ def test_margin_validation():
         rc.hyperplane_margin_bound(c, c + 1.0, 0.1, far, c + 1.0)
     with pytest.raises(InputError):
         rc.hyperplane_margin_bound(c, c + 1.0, 2.0, c, c)  # x == y
+    # a NaN radius is refused like a negative one, not carried into (nan, nan)
+    for radius in (-1.0, np.nan):
+        with pytest.raises(InputError, match="radius must be nonnegative"):
+            rc.hyperplane_margin_bound([0, 0], [1, 0], radius, [0, 0], [1, 0])
 
 
 def test_recovery_diagnostics():

@@ -5,11 +5,16 @@ Failures must use the documented error types of ``ratiocut.errors``: an
 part of the documented interface.
 
 Every Laplacian spectrum comes from ``eigen``: no module other than
-``eigen.py`` calls ``sym_eig`` or an eigensolver (``eigh``, ``eigvalsh``)
-directly; the others ask ``eigen`` for the quantity (``lambda2``,
-``fiedler``, ``eigenmap``, ``block_lambda2s``) they need, so every solve
-passes its residual check. Inside ``eigen.py`` one checked solve makes the
-only ``eigh`` call.
+``eigen.py`` calls an eigensolver (``eigh``, ``eigvalsh``) directly; the
+others ask ``eigen`` for the quantity (``lambda2``, ``fiedler``,
+``eigenmap``, ``block_lambda2s``) they need, so every solve passes its
+residual check. Inside ``eigen.py`` one checked solve makes the only
+``eigh`` call. ``sym_eig``, a public solver door that has been deleted,
+stays on the list, so no module can bring back a second route.
+
+Every count, size, index and seed is checked by one integer rule: only
+``graphs._is_int`` tests for a non-bool integer (``fileio.canonical_json``'s
+type dispatch aside).
 
 Every small threshold lives in ``Tolerances``: no module other than
 ``tolerances.py`` spells out a float literal with ``0 < |x| < 1e-3``.
@@ -55,6 +60,7 @@ def test_rule_detects_both_forms(tmp_path):
     assert _violations(bad) == ["bad.py:2: assert", "bad.py:3: raise RuntimeError"]
 
 
+# sym_eig is deleted; it stays here so that a call to it fails the rule
 SPECTRUM_CALLS = {"sym_eig", "eigh", "eigvalsh"}
 
 
@@ -79,7 +85,7 @@ def test_only_eigen_calls_sym_eig():
 
 def test_eigen_solves_by_one_checked_route():
     # inside eigen.py only _checked_eigh calls eigh, and nothing calls
-    # sym_eig: it is the door for matrices from outside the library
+    # sym_eig, the deleted door for matrices from outside the library
     assert [c.split(": ")[1] for c in _spectrum_calls(PACKAGE / "eigen.py")] == ["eigh call"]
 
 
@@ -98,6 +104,40 @@ def test_spectrum_rule_detects_direct_and_qualified_calls(tmp_path):
     )
     assert _spectrum_calls(bad) == ["bad.py:6: sym_eig call", "bad.py:7: eigh call",
                                     "bad.py:8: eigvalsh call", "bad.py:9: sym_eig call"]
+
+
+def _bool_tests(path: Path) -> list[str]:
+    """Functions of ``path`` that call ``isinstance`` with ``bool`` or
+    ``np.bool_`` among the types: each spells the non-bool integer test."""
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                        and len(node.args) == 2
+                        and {getattr(t, "id", getattr(t, "attr", None)) for t in ast.walk(node.args[1])}
+                        & {"bool", "bool_"}):
+                    found.append(f"{path.name}:{fn.name}")
+    return found
+
+
+def test_non_bool_integer_test_is_spelled_once():
+    tests = sorted({t for path in sorted(PACKAGE.glob("*.py")) for t in _bool_tests(path)})
+    assert tests == ["fileio.py:canonical_json", "graphs.py:_is_int"]
+
+
+def test_bool_rule_detects_both_spellings(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "def f(x):\n"
+        "    return isinstance(x, bool)\n"
+        "def g(x):\n"
+        "    return isinstance(x, (int, np.bool_))\n"
+        "def h(x):\n"
+        "    return isinstance(x, int)\n"
+    )
+    assert _bool_tests(bad) == ["bad.py:f", "bad.py:g"]
 
 
 def _small_float_literals(path: Path) -> list[str]:
