@@ -50,7 +50,7 @@ def main() -> None:
     found = rc.spectral_cluster(g, 3, seed=0)
     print(f"k-means rounding recovers the planted blocks: "
           f"{rc.same_partition(found.partition, planted)} "
-          f"(ratio cut {found.objective:.4g})")
+          f"(ratio cut {rc.ratio_cut(g, found.partition):.4g})")
 
 
 if __name__ == "__main__":

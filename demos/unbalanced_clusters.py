@@ -34,7 +34,7 @@ def main() -> None:
     print(f"measured worst-row embedding error anyway: {rep.measured:.4f}")
 
     found = rc.spectral_cluster(g, 3, method="kmeans", seed=0)
-    print(f"spectral clustering: ratio cut {found.objective:.4f}, "
+    print(f"spectral clustering: ratio cut {rc.ratio_cut(g, found.partition):.4f}, "
           f"planted recovered: {rc.same_partition(found.partition, planted)}")
 
 

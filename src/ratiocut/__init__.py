@@ -39,7 +39,6 @@ from .graphs import (
     gen_example_blocks,
     gen_planted_blocks,
     gen_unbalanced_example,
-    induced_subgraph,
     is_connected,
     laplacian,
     ratio_cut,
@@ -108,7 +107,6 @@ __all__ = [
     "gen_planted_blocks",
     "gen_unbalanced_example",
     "hyperplane_margin_bound",
-    "induced_subgraph",
     "is_connected",
     "kmeans_round",
     "lambda2",

@@ -36,36 +36,34 @@ SCHEMA_VERSION = 1
 
 
 def _parse_sizes(text: str) -> list[int]:
-    try:
-        sizes = [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        raise InputError(f"--sizes expects comma-separated integers, got {text!r}")
-    if not sizes:
+    if text == "":
         raise InputError("--sizes is empty")
-    return sizes
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise InputError(f"--sizes expects comma-separated integers, got {text!r}") from None
 
 
-# the parameter flags each gen family reads; the others are refused, not ignored
-_GEN_FLAGS = {"example-blocks": ("n", "c"), "unbalanced": (), "planted": ("sizes", "intra", "cross")}
+# each gen family's generator and the flags it takes, in argument order; the
+# flags of the other families are refused, not ignored
+_GEN_FAMILIES = {
+    "example-blocks": (gen_example_blocks, ("n", "c")),
+    "unbalanced": (gen_unbalanced_example, ()),
+    "planted": (gen_planted_blocks, ("sizes", "intra", "cross")),
+}
 
 
 def cmd_gen(args) -> int:
-    ignored = [f"--{flag}" for flags in _GEN_FLAGS.values() for flag in flags
-               if flag not in _GEN_FLAGS[args.family] and getattr(args, flag) is not None]
-    if ignored:
-        raise InputError(f"gen {args.family} does not take {', '.join(ignored)}")
-    if args.family == "example-blocks":
-        if args.n is None or args.c is None:
-            raise InputError("gen example-blocks requires --n and --c")
-        g, p = gen_example_blocks(args.n, args.c)
-    elif args.family == "unbalanced":
-        g, p = gen_unbalanced_example()
-    elif args.family == "planted":
-        if args.sizes is None or args.intra is None or args.cross is None:
-            raise InputError("gen planted requires --sizes, --intra and --cross")
-        g, p = gen_planted_blocks(_parse_sizes(args.sizes), args.intra, args.cross)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown family {args.family!r}")
+    generate, flags = _GEN_FAMILIES[args.family]
+    refused = [f"--{flag}" for _, others in _GEN_FAMILIES.values() for flag in others
+               if flag not in flags and getattr(args, flag) is not None]
+    if refused:
+        raise InputError(f"gen {args.family} does not take {', '.join(refused)}")
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        names = [f"--{flag}" for flag in flags]
+        raise InputError(f"gen {args.family} requires {', '.join(names[:-1])} and {names[-1]}")
+    g, p = generate(*(_parse_sizes(v) if flag == "sizes" else v for flag, v in zip(flags, values)))
     fileio.write_edge_list(args.output, g)
     fileio.write_partition(args.partition, p)
     print(f"wrote {g.n} vertices to {args.output}, planted labels to {args.partition}")

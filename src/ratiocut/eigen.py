@@ -196,9 +196,10 @@ def block_lambda2s(g: WeightedGraph, p: Partition) -> tuple[np.ndarray, np.ndarr
     """Algebraic connectivity of each block's induced subgraph and its error
     radius; ``+inf`` and 0 for a singleton.
 
-    Equal bit for bit to ``lambda2(induced_subgraph(g, p.block(j)))``: the
-    block Laplacian is built from the same entries of ``g.weights``, which
-    are already exactly symmetric, so no second graph is validated.
+    Equal bit for bit to ``lambda2(WeightedGraph(g.weights[np.ix_(b, b)]))``
+    with ``b = p.block(j)``: the block Laplacian is built from the same
+    entries of ``g.weights``, which are already exactly symmetric, so no
+    second graph is validated.
     """
     check_partition(g, p)
     lam, radii = np.full(p.k, np.inf), np.zeros(p.k)

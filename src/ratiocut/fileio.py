@@ -36,7 +36,7 @@ import warnings
 import numpy as np
 
 from .errors import FileFormatError, InputError
-from .graphs import Partition, WeightedGraph
+from .graphs import Partition, WeightedGraph, zero_weights
 
 _TOKEN = re.compile(r"\S+")
 
@@ -135,11 +135,9 @@ def read_edge_list(path: str) -> WeightedGraph:
         bad_line = m + 2 if len(lines) - 1 > m else len(lines) + 1
         raise _fail(path, bad_line, 1, f"expected {m} edge lines, found {len(lines) - 1}")
     try:
-        weights = np.zeros((n, n))
-    except (ValueError, MemoryError):
-        raise _fail(
-            path, 1, header[0][1], f"vertex count {n} is too large for an n-by-n weight matrix"
-        ) from None
+        weights = zero_weights(n)
+    except InputError as exc:
+        raise _fail(path, 1, header[0][1], str(exc)) from None
     if m and not _numpy_edges(lines[1:], weights):
         _edge_lines(path, lines[1:], weights)
     return WeightedGraph(weights)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -145,6 +146,20 @@ def check_int(name: str, value, lo: int, hi: int = np.iinfo(np.int64).max) -> No
         raise InputError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
+def finite_array(name: str, values, ndim: int) -> np.ndarray:
+    """``values`` as a float array, by the one rule for real-valued array
+    inputs: InputError unless it has ``ndim`` axes and finite entries."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # ragged, or an entry that is not a number
+        raise InputError(f"{name} must be a {ndim}-d array of numbers") from None
+    if a.ndim != ndim:
+        raise InputError(f"{name} must be a {ndim}-d array, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{name} must be finite")
+    return a
+
+
 def _int_vector(values, kind: str, span: str) -> np.ndarray:
     """``values`` as a fresh 1-d int64 array, by the one rule for integer
     entries (labels, vertex indices, block sizes): InputError(kind) unless it
@@ -265,18 +280,6 @@ def _block_cuts(w: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, 
     return cuts, sizes
 
 
-def induced_subgraph(g: WeightedGraph, subset) -> WeightedGraph:
-    """Restriction of the graph to a nonempty vertex subset.
-
-    Vertices keep their ascending original order.
-    """
-    idx = _check_subset(g.n, subset)
-    if idx.size == 0:
-        raise InputError("induced subgraph needs a nonempty vertex subset")
-    idx = np.sort(idx)
-    return WeightedGraph(g.weights[np.ix_(idx, idx)])
-
-
 def is_connected(g: WeightedGraph) -> bool:
     """True when every vertex is reachable from vertex 0 over positive weights."""
     return min(_bfs(_neighbours(g), 0)) >= 0
@@ -320,6 +323,30 @@ def diameter(g: WeightedGraph) -> int:
 # deterministic instance generators
 
 
+def zero_weights(n: int) -> np.ndarray:
+    """An n-by-n zero float matrix: the one allocation of a weight matrix
+    from a vertex count given from outside. Raises InputError if numpy
+    cannot make it."""
+    try:
+        return np.zeros((n, n))
+    except (ValueError, MemoryError):
+        raise InputError(f"vertex count {n} is too large for an n-by-n weight matrix") from None
+
+
+def _block_model(sizes: list[int], block_weights, edges) -> tuple[WeightedGraph, np.ndarray]:
+    """The graph on consecutive blocks of the given sizes, every pair of
+    vertices in blocks i and j joined at ``block_weights[i][j]``, plus the
+    single edges ``(u, v, w)``, as a ``WeightedGraph`` (so the diagonal is
+    zero); and each vertex's block."""
+    w = zero_weights(sum(sizes))  # refuses n before anything of size n is built
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    # labels are in range; the default mode would first fill an n-by-n buffer
+    np.take(np.asarray(block_weights, dtype=float)[labels], labels, axis=1, out=w, mode="clip")
+    for u, v, weight in edges:
+        w[u, v] = w[v, u] = weight
+    return WeightedGraph(w), labels
+
+
 def gen_example_blocks(n: int, c: float) -> tuple[WeightedGraph, Partition]:
     """Four equal blocks of size ``n`` probing the certificate threshold.
 
@@ -332,18 +359,8 @@ def gen_example_blocks(n: int, c: float) -> tuple[WeightedGraph, Partition]:
     check_int("block size n", n, 1)
     if c < 0:
         raise InputError("cross weight c must be >= 0")
-    ones = np.ones((n, n))
-    zero = np.zeros((n, n))
-    w = np.block(
-        [
-            [ones, ones, c * ones, zero],
-            [ones, ones, zero, c * ones],
-            [c * ones, zero, ones, ones],
-            [zero, c * ones, ones, ones],
-        ]
-    )
-    labels = np.repeat([0, 1], 2 * n)
-    return WeightedGraph(w), Partition(labels, 2)
+    g, labels = _block_model([n] * 4, [[1, 1, c, 0], [1, 1, 0, c], [c, 0, 1, 1], [0, c, 1, 1]], [])
+    return g, Partition(labels // 2, 2)
 
 
 def gen_unbalanced_example() -> tuple[WeightedGraph, Partition]:
@@ -354,21 +371,8 @@ def gen_unbalanced_example() -> tuple[WeightedGraph, Partition]:
     the first vertex of cluster 1 to the first vertex of cluster 2, another
     joins the first vertex of cluster 3 to the second vertex of cluster 2.
     """
-    sizes = [3, 300, 300]
-    n = sum(sizes)
-    w = np.zeros((n, n))
-    offset = 0
-    starts = []
-    for m in sizes:
-        w[offset : offset + m, offset : offset + m] = 1.0 / m
-        starts.append(offset)
-        offset += m
-    np.fill_diagonal(w, 0.0)
-    v1_first, v2_first, v3_first = starts[0], starts[1], starts[2]
-    w[v1_first, v2_first] = w[v2_first, v1_first] = 0.5
-    w[v3_first, v2_first + 1] = w[v2_first + 1, v3_first] = 0.5
-    labels = np.repeat([0, 1, 2], sizes)
-    return WeightedGraph(w), Partition(labels, 3)
+    g, labels = _block_model([3, 300, 300], np.diag([1 / 3, 1 / 300, 1 / 300]), [(0, 3, 0.5), (303, 4, 0.5)])
+    return g, Partition(labels, 3)
 
 
 def gen_planted_blocks(sizes, intra: float, cross: float) -> tuple[WeightedGraph, Partition]:
@@ -387,16 +391,6 @@ def gen_planted_blocks(sizes, intra: float, cross: float) -> tuple[WeightedGraph
         raise InputError(bad)
     if intra < 0 or cross < 0:
         raise InputError("weights must be >= 0")
-    n = sum(sizes)
-    w = np.zeros((n, n))
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        w[lo:hi, lo:hi] = intra
-    np.fill_diagonal(w, 0.0)
-    if cross > 0:
-        for i in range(len(sizes) - 1):
-            last_of_i = starts[i + 1] - 1
-            first_of_next = starts[i + 1]
-            w[last_of_i, first_of_next] = w[first_of_next, last_of_i] = cross
-    labels = np.repeat(np.arange(len(sizes)), sizes)
-    return WeightedGraph(w), Partition(labels, len(sizes))
+    firsts = accumulate(sizes[:-1])  # the first vertex of each block after the first
+    g, labels = _block_model(sizes, np.diag([intra] * len(sizes)), [(v - 1, v, cross) for v in firsts])
+    return g, Partition(labels, len(sizes))

@@ -27,7 +27,7 @@ import numpy as np
 from .certify import certificate
 from .eigen import eigenmap, lambda2
 from .errors import DegenerateAlignmentWarning, HypothesisViolation, InputError, SizeError, SolverError
-from .graphs import Partition, WeightedGraph, check_partition, diameter, is_connected, laplacian
+from .graphs import Partition, WeightedGraph, check_partition, diameter, finite_array, is_connected, laplacian
 from .simplex import gap_certificate
 from .tolerances import DEFAULT as TOL
 
@@ -44,7 +44,7 @@ def canonical_uiso(p: Partition) -> np.ndarray:
 
 def two_to_inf_norm(m) -> float:
     """Largest Euclidean row norm."""
-    m = np.asarray(m, dtype=float)
+    m = finite_array("m", m, 2)
     if m.size == 0:
         return 0.0
     return float(np.sqrt((m * m).sum(axis=1)).max())
@@ -65,11 +65,10 @@ def procrustes_align(u: np.ndarray, u_iso: np.ndarray) -> tuple[np.ndarray, np.n
     orthogonal), in which case the rotation is still returned but barely
     constrained in the deficient directions.
     """
-    u = np.asarray(u, dtype=float)
-    u_iso = np.asarray(u_iso, dtype=float)
+    u, u_iso = finite_array("u", u, 2), finite_array("u_iso", u_iso, 2)
     if u.shape != u_iso.shape:
         raise InputError(f"shape mismatch: {u.shape} vs {u_iso.shape}")
-    if u.ndim != 2 or u.shape[0] < u.shape[1]:
+    if u.shape[0] < u.shape[1]:
         raise InputError("expected tall matrices with orthonormal columns")
     _check_orthonormal(u, "first factor")
     _check_orthonormal(u_iso, "second factor")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .eigen import eigenmap, fiedler
 from .errors import DisconnectedGraphWarning, InputError, SolverError
-from .graphs import Partition, WeightedGraph, check_int, is_connected, ratio_cut, ratio_cut_rel
+from .graphs import Partition, WeightedGraph, check_int, finite_array, is_connected, ratio_cut, ratio_cut_rel
 from .tolerances import DEFAULT as TOL
 
 MAX_LLOYD_ITERATIONS = 200
@@ -184,12 +184,10 @@ def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingR
     that does not change under translation and scales with the costs;
     ``iterations`` is the winner's Lloyd iteration count.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] < 1:
+    points = finite_array("points", points, 2)
+    n, d = points.shape
+    if d < 1:
         raise InputError(f"points must be an n-by-d matrix with d >= 1, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise InputError("points must be finite")
-    n = points.shape[0]
     check_int("k", k, 1, n)
     check_int("seed", seed, 0)
     check_int("restarts", restarts, 1)
@@ -266,8 +264,8 @@ def proximity_check(points, p: Partition) -> ProximityReport:
     The threshold is rhs = (1/2) sqrt(total squared spectral spread times
     (1/n_i + 1/n_j)), with the spread summed over all blocks.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] != len(p.labels):
+    points = finite_array("points", points, 2)
+    if points.shape[0] != len(p.labels):
         raise InputError("points must be an n-by-d matrix matching the partition")
     k = p.k
     blocks = p.blocks()
@@ -328,10 +326,9 @@ def hyperplane_margin_bound(c1, c2, radius: float, x, y) -> tuple[float, float]:
     bound is half the center distance minus three radii; the geometric
     lemma says margin >= bound.
     """
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    c1, c2, x, y = (finite_array(name, v, 1) for name, v in (("c1", c1), ("c2", c2), ("x", x), ("y", y)))
+    if not c1.shape == c2.shape == x.shape == y.shape:
+        raise InputError("c1, c2, x and y must have the same length")
     if not radius >= 0:
         raise InputError("radius must be nonnegative")
     if np.linalg.norm(x - c1) > radius + TOL.inequality_slack:

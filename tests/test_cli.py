@@ -200,10 +200,33 @@ def test_partition_label_too_large_exits_2_with_position(tmp_path, capsys):
         assert not (tmp_path / "c.json").exists()
 
 
-def test_gen_missing_params_exits_2(tmp_path):
+def test_gen_missing_params_exits_2(tmp_path, capsys):
     code = run(["gen", "example-blocks", "--output", tmp_path / "g.tsv",
                 "--partition", tmp_path / "p.txt"])
     assert code == 2
+    assert capsys.readouterr().err == "error: gen example-blocks requires --n and --c\n"
+    code = run(["gen", "planted", "--sizes", "3,3", "--cross", 0.1, "--output", tmp_path / "g.tsv",
+                "--partition", tmp_path / "p.txt"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: gen planted requires --sizes, --intra and --cross\n"
+    assert not (tmp_path / "g.tsv").exists()
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("3,,4", "--sizes expects comma-separated integers, got '3,,4'"),
+    ("3,4,", "--sizes expects comma-separated integers, got '3,4,'"),
+    (",", "--sizes expects comma-separated integers, got ','"),
+    ("3,x", "--sizes expects comma-separated integers, got '3,x'"),
+    ("", "--sizes is empty"),
+    (str(2 ** 40), f"vertex count {2 ** 40} is too large for an n-by-n weight matrix"),
+])
+def test_gen_refuses_malformed_sizes(tmp_path, capsys, sizes, message):
+    # an empty entry is refused, not dropped
+    g_path = tmp_path / "g.tsv"
+    assert run(["gen", "planted", "--sizes", sizes, "--intra", 1.0, "--cross", 0.1,
+                "--output", g_path, "--partition", tmp_path / "p.txt"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not g_path.exists()
 
 
 def test_gen_rejects_seed_flag(tmp_path):

@@ -174,6 +174,8 @@ def test_lambda2_zero_iff_disconnected():
     assert rc.lambda2(rc.WeightedGraph(w)) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(InputError):
         rc.lambda2(rc.WeightedGraph(np.zeros((1, 1))))
+    with pytest.raises(InputError, match="Fiedler vector needs at least 2 vertices"):
+        rc.fiedler(rc.WeightedGraph(np.zeros((1, 1))))
 
 
 def test_lambda2_equals_the_sym_eig_value_bit_for_bit():

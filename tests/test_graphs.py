@@ -149,7 +149,6 @@ INTEGER_DOORS = {
     "gen_planted_blocks size": (lambda v: rc.gen_planted_blocks([3, v], 1.0, 0.1), 0),
     "recovery_diagnostics n": (lambda v: rc.recovery_diagnostics(0.1, v), 0),
     "cut_weight index": (lambda v: rc.cut_weight(_G, [0, v]), 4),
-    "induced_subgraph index": (lambda v: rc.induced_subgraph(_G, [0, v]), -1),
 }
 
 
@@ -235,7 +234,7 @@ def test_block_laplacian_cut_from_the_weights_is_the_induced_subgraph_laplacian(
     g = rc.WeightedGraph(w + w.T)
     block = np.array([0, 2, 3, 7])
     lap = weights_laplacian(g.weights[np.ix_(block, block)])
-    assert lap.tobytes() == rc.laplacian(rc.induced_subgraph(g, block)).tobytes()
+    assert lap.tobytes() == rc.laplacian(rc.WeightedGraph(g.weights[np.ix_(block, block)])).tobytes()
     assert rc.laplacian(g).flags.writeable and not g.weights.flags.writeable
 
 
@@ -271,16 +270,12 @@ def test_cut_weight_validates_subset():
     for bad in (np.array([False, True]), [True], [0, True], [0.9], np.array([1.0]), [np.float64(0)]):
         with pytest.raises(InputError, match="integer vertex indices"):
             rc.cut_weight(edge, bad)
-        with pytest.raises(InputError, match="integer vertex indices"):
-            rc.induced_subgraph(edge, bad)
     with pytest.raises(InputError, match="integer vertex indices"):
-        rc.induced_subgraph(g, [1.7])
+        rc.cut_weight(g, [1.7])
     # an index too large for int64 is out of range, not an OverflowError
     for bad in ([0, -2 ** 70], np.array([2 ** 64 - 1], dtype=np.uint64)):
         with pytest.raises(InputError, match="out of range"):
             rc.cut_weight(g, bad)
-        with pytest.raises(InputError, match="out of range"):
-            rc.induced_subgraph(g, bad)
     # integer indices of any integer type, and the empty subset, stay valid
     assert rc.cut_weight(edge, np.array([1], dtype=np.int8)) == 1.0
     assert rc.cut_weight(edge, [np.int64(0)]) == 1.0
@@ -327,15 +322,6 @@ def test_ratio_cut_zero_for_disjoint_split():
     g = rc.WeightedGraph(w)
     p = rc.Partition(np.array([0, 0, 1, 1]), 2)
     assert rc.ratio_cut(g, p) == 0.0
-
-
-def test_induced_subgraph():
-    g = complete_graph(4, 0.5)
-    sub = rc.induced_subgraph(g, [0, 2, 3])
-    assert sub.n == 3
-    assert np.allclose(sub.weights, 0.5 * (1.0 - np.eye(3)))
-    with pytest.raises(InputError):
-        rc.induced_subgraph(g, [1, 1])
 
 
 def test_connected_components_and_diameter():
@@ -487,3 +473,25 @@ def test_gen_planted_blocks_validation():
         assert rc.gen_planted_blocks(sizes, 1.0, 0.1)[1].sizes().tolist() == [2, 3]
     with pytest.raises(InputError):
         rc.gen_planted_blocks([3, 3], -1.0, 0.1)
+    # a non-finite weight is refused whatever the block sizes
+    for sizes, intra, cross in (([3, 3], 1.0, np.nan), ([1, 1], np.nan, 0.5), ([1], np.inf, 0.1)):
+        with pytest.raises(InputError, match="matrix entries must be finite"):
+            rc.gen_planted_blocks(sizes, intra, cross)
+
+
+def test_gen_example_blocks_validation():
+    with pytest.raises(InputError, match="cross weight c must be >= 0"):
+        rc.gen_example_blocks(2, -1.0)
+
+
+# numpy refuses these matrices outright (more bytes than an address space
+# holds), so the tests allocate nothing; a count whose matrix fits in virtual
+# memory would be built, and must not be tried here
+@pytest.mark.parametrize("make, n", [
+    (lambda: rc.gen_planted_blocks([2 ** 40], 1.0, 0.1), 2 ** 40),
+    (lambda: rc.gen_planted_blocks([2 ** 62, 2 ** 62], 1.0, 0.1), 2 ** 63),
+    (lambda: rc.gen_example_blocks(2 ** 40, 0.1), 2 ** 42),
+])
+def test_generators_refuse_a_weight_matrix_numpy_cannot_make(make, n):
+    with pytest.raises(InputError, match=f"^vertex count {n} is too large for an n-by-n weight matrix$"):
+        make()

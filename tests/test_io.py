@@ -51,6 +51,10 @@ def test_read_edge_list_header_errors(tmp_path):
         rc.read_edge_list(write(tmp_path, "x 2\n0 1 1\n1 2 1\n"))
     with pytest.raises(FileFormatError):
         rc.read_edge_list(write(tmp_path, ""))
+    with pytest.raises(FileFormatError, match=r":1:1: vertex count must be >= 1$"):
+        rc.read_edge_list(write(tmp_path, "0 0\n"))
+    with pytest.raises(FileFormatError, match=r":1:3: edge count must be >= 0$"):
+        rc.read_edge_list(write(tmp_path, "3 -1\n"))
 
 
 def test_read_edge_list_rejects_unallocatable_vertex_count(tmp_path):
@@ -58,6 +62,10 @@ def test_read_edge_list_rejects_unallocatable_vertex_count(tmp_path):
     # weight matrix before allocating anything
     with pytest.raises(FileFormatError, match=r":1:1: vertex count 10000000000 is too large"):
         rc.read_edge_list(write(tmp_path, "10000000000 0\n"))
+    path = write(tmp_path, f"{2 ** 40} 0\n")
+    with pytest.raises(FileFormatError) as exc:
+        rc.read_edge_list(path)
+    assert str(exc.value) == f"{path}:1:1: vertex count {2 ** 40} is too large for an n-by-n weight matrix"
 
 
 def test_read_edge_list_edge_errors(tmp_path):
@@ -105,6 +113,9 @@ def test_read_partition_errors(tmp_path):
     path.write_text("-1\n0\n")
     with pytest.raises(FileFormatError):
         rc.read_partition(str(path))
+    path.write_text("")
+    with pytest.raises(FileFormatError, match=r":1:1: empty partition file$"):
+        rc.read_partition(str(path))
 
 
 def test_readers_report_the_first_undecodable_byte(tmp_path):
@@ -149,6 +160,8 @@ def test_canonical_json_handles_arrays_and_specials():
 def test_canonical_json_rejects_non_string_keys():
     with pytest.raises(TypeError):
         canonical_json({1: "x"})
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        canonical_json({"x": {1, 2}})
 
 
 def test_write_json_trailing_newline(tmp_path):

@@ -151,6 +151,16 @@ def test_two_to_inf_norm():
     m = np.array([[3.0, 4.0], [1.0, 0.0]])
     assert rc.two_to_inf_norm(m) == 5.0
     assert rc.two_to_inf_norm(np.zeros((0, 2))) == 0.0
+    # rows of a matrix only, with finite entries
+    for bad in ([1.0, 2.0, 3.0], np.ones((2, 2, 2))):
+        with pytest.raises(InputError, match=r"m must be a 2-d array, got shape"):
+            rc.two_to_inf_norm(bad)
+    for bad in ([[1.0], [1.0, 2.0]], [["a"]]):
+        with pytest.raises(InputError, match="m must be a 2-d array of numbers"):
+            rc.two_to_inf_norm(bad)
+    for bad in ([[np.nan]], [[1.0, np.inf]]):
+        with pytest.raises(InputError, match="m must be finite"):
+            rc.two_to_inf_norm(bad)
 
 
 # -------------------------------------------------------------- procrustes
@@ -206,6 +216,19 @@ def test_procrustes_input_validation():
         rc.procrustes_align(u, u[:, :1])
     with pytest.raises(InputError):
         rc.procrustes_align(2.0 * u, 2.0 * u)  # not orthonormal
+    with pytest.raises(InputError, match="expected tall matrices"):
+        rc.procrustes_align(u.T, u.T)
+    with pytest.raises(InputError, match=r"u must be a 2-d array, got shape \(4,\)"):
+        rc.procrustes_align(u[:, 0], u[:, 0])
+    # a non-finite basis is bad input, not an SVD that fails to converge
+    for bad in (np.nan, np.inf):
+        broken = u.copy()
+        broken[1, 0] = bad
+        for f in (rc.procrustes_align, rc.two_to_inf_error):
+            with pytest.raises(InputError, match="u must be finite"):
+                f(broken, u)
+            with pytest.raises(InputError, match="u_iso must be finite"):
+                f(u, broken)
 
 
 def test_two_to_inf_error_constructed_offset():

@@ -523,6 +523,14 @@ def test_proximity_spread_norms_ordered():
 def test_proximity_validation():
     with pytest.raises(InputError):
         rc.proximity_check(np.zeros((3, 2)), rc.Partition(np.array([0, 1]), 2))
+    p = rc.Partition(np.array([0, 0, 1, 1]), 2)
+    with pytest.raises(InputError, match="points must be a 2-d array"):
+        rc.proximity_check(np.zeros(4), p)
+    for bad in (np.nan, np.inf):
+        points = np.arange(8.0).reshape(4, 2)
+        points[2, 1] = bad
+        with pytest.raises(InputError, match="points must be finite"):
+            rc.proximity_check(points, p)
 
 
 # ------------------------------------------------------------------- margin
@@ -574,6 +582,17 @@ def test_margin_validation():
     for radius in (-1.0, np.nan):
         with pytest.raises(InputError, match="radius must be nonnegative"):
             rc.hyperplane_margin_bound([0, 0], [1, 0], radius, [0, 0], [1, 0])
+    with pytest.raises(InputError, match="y lies outside the second ball"):
+        rc.hyperplane_margin_bound(c, c + 1.0, 0.1, c, far)
+    # finite vectors of one length, not (nan, nan) or a bare numpy error
+    with pytest.raises(InputError, match="c1 must be finite"):
+        rc.hyperplane_margin_bound([np.nan, 0], [1, 0], 0.5, [0, 0], [1, 0])
+    with pytest.raises(InputError, match="y must be finite"):
+        rc.hyperplane_margin_bound([0, 0], [1, 0], 0.5, [0, 0], [1, np.inf])
+    with pytest.raises(InputError, match="c2 must be a 1-d array"):
+        rc.hyperplane_margin_bound([0, 0], [[1, 0]], 0.5, [0, 0], [1, 0])
+    with pytest.raises(InputError, match="c1, c2, x and y must have the same length"):
+        rc.hyperplane_margin_bound([0, 0], [1, 0, 0], 0.5, [0, 0], [1, 0])
 
 
 def test_recovery_diagnostics():
