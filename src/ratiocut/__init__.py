@@ -34,7 +34,6 @@ from .fileio import (
 from .graphs import (
     Partition,
     WeightedGraph,
-    cut_weight,
     diameter,
     gen_example_blocks,
     gen_planted_blocks,
@@ -95,7 +94,6 @@ __all__ = [
     "canonical_json",
     "canonical_uiso",
     "certificate",
-    "cut_weight",
     "diameter",
     "eigenmap",
     "fiedler",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .eigen import block_lambda2s
 from .errors import SingletonBlockWarning
-from .graphs import Partition, WeightedGraph, cross_weights
+from .graphs import Partition, WeightedGraph, check_partition
 
 
 def boundary_degrees(g: WeightedGraph, p: Partition) -> np.ndarray:
@@ -32,7 +32,8 @@ def boundary_degrees(g: WeightedGraph, p: Partition) -> np.ndarray:
     Entry ``i`` is the total weight from vertex ``i`` to vertices outside
     its block, the boundary degree.
     """
-    return cross_weights(g, p).sum(axis=1)
+    check_partition(g, p)
+    return np.where(p.labels[:, None] == p.labels[None, :], 0.0, g.weights).sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ Vertex indices are 0-based throughout.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
@@ -162,9 +163,9 @@ def finite_array(name: str, values, ndim: int) -> np.ndarray:
 
 def _int_vector(values, kind: str, span: str) -> np.ndarray:
     """``values`` as a fresh 1-d int64 array, by the one rule for integer
-    entries (labels, vertex indices, block sizes): InputError(kind) unless it
-    is 1-d and each entry an integer by ``check_int``'s rule, InputError(span)
-    if an entry does not fit int64."""
+    entries (labels, block sizes): InputError(kind) unless it is 1-d and
+    each entry an integer by ``check_int``'s rule, InputError(span) if an
+    entry does not fit int64."""
     raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
     integral = all(map(_is_int, raw.flat)) if raw.dtype == object else np.issubdtype(raw.dtype, np.integer)
     if raw.ndim != 1 or not integral:
@@ -196,37 +197,6 @@ def weights_laplacian(w: np.ndarray) -> np.ndarray:
     lap = -w
     np.fill_diagonal(lap, w.sum(axis=1))
     return lap
-
-
-def _check_subset(n: int, subset) -> np.ndarray:
-    idx = _int_vector(list(subset), "subset entries must be integer vertex indices",
-                      f"vertex index out of range [0, {n})")
-    if idx.size == 0:
-        return idx
-    if idx.min() < 0 or idx.max() >= n:
-        raise InputError(f"vertex index out of range [0, {n})")
-    if np.unique(idx).size != idx.size:
-        raise InputError("subset contains duplicate vertices")
-    return idx
-
-
-def cut_weight(g: WeightedGraph, subset) -> float:
-    """Total weight crossing from ``subset`` to its complement.
-
-    Equals the quadratic form of the indicator vector of the subset against
-    the Laplacian.
-    """
-    idx = _check_subset(g.n, subset)
-    labels = np.ones((1, g.n), dtype=int)
-    labels[0, idx] = 0  # block 0 is the subset, block 1 the rest
-    cuts, _ = _block_cuts(g.weights, labels, 1)
-    return float(cuts[0, 0])
-
-
-def cross_weights(g: WeightedGraph, p: Partition) -> np.ndarray:
-    """The weights between different blocks of ``p``, zero within each block."""
-    check_partition(g, p)
-    return np.where(p.labels[:, None] == p.labels[None, :], 0.0, g.weights)
 
 
 def ratio_cut(g: WeightedGraph, p: Partition) -> float:
@@ -266,7 +236,7 @@ def _block_cuts(w: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, 
     ``labels``, as two ``(rows, k)`` arrays, by the package's one boundary
     sum: block j's cut sums the ``(size, n - size)`` submatrix of ``w``,
     members and non-members ascending, as one row-major run, for all rows
-    that share the block's size at once. An empty block's cut is 0.0."""
+    that share the block's size at once."""
     cuts = np.empty((len(labels), k))
     sizes = np.empty((len(labels), k), dtype=int)
     for j in range(k):
@@ -325,12 +295,16 @@ def diameter(g: WeightedGraph) -> int:
 
 def zero_weights(n: int) -> np.ndarray:
     """An n-by-n zero float matrix: the one allocation of a weight matrix
-    from a vertex count given from outside. Raises InputError if numpy
-    cannot make it."""
+    from a vertex count given from outside. Raises InputError, before
+    allocating, if numpy cannot make it or if it and the copy ``WeightedGraph``
+    makes exceed physical memory (where ``os.sysconf`` reports it)."""
+    too_large = InputError(f"vertex count {n} is too large for an n-by-n weight matrix")
+    if hasattr(os, "sysconf") and 2 * 8 * n * n > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise too_large
     try:
         return np.zeros((n, n))
     except (ValueError, MemoryError):
-        raise InputError(f"vertex count {n} is too large for an n-by-n weight matrix") from None
+        raise too_large from None
 
 
 def _block_model(sizes: list[int], block_weights, edges) -> tuple[WeightedGraph, np.ndarray]:

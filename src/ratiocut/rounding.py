@@ -192,15 +192,16 @@ def kmeans_round(points, k: int, seed: int = 0, restarts: int = 10) -> RoundingR
     check_int("seed", seed, 0)
     check_int("restarts", restarts, 1)
 
-    starts = [_farthest_first(points, k)]
-    for t in range(1, restarts):
-        rng = np.random.default_rng([seed, t])
-        starts.append(points[rng.choice(n, size=k, replace=False)])
-    starts = np.stack(starts)
-    # restarts go in groups whose distance arrays stay near LLOYD_BATCH_CELLS;
-    # an error in a group is raised before any later group runs
-    group = max(1, LLOYD_BATCH_CELLS // starts[0].size // n)
-    runs = [_lloyd(points, starts[t:t + group]) for t in range(0, restarts, group)]
+    def start(t: int) -> np.ndarray:
+        if t == 0:
+            return _farthest_first(points, k)
+        return points[np.random.default_rng([seed, t]).choice(n, size=k, replace=False)]
+
+    # restarts go in groups whose distance arrays stay near LLOYD_BATCH_CELLS, each
+    # group's starts drawn when it runs: an error is raised before any later draw
+    group = max(1, LLOYD_BATCH_CELLS // (k * d) // n)
+    runs = [_lloyd(points, np.stack([start(t) for t in range(lo, min(lo + group, restarts))]))
+            for lo in range(0, restarts, group)]
     labels, costs, iterations = (np.concatenate(parts) for parts in zip(*runs))
     band = TOL.inequality_slack * float(np.square(points - points.mean(axis=0)).sum())
     best = int(np.argmax(costs <= costs.min() + band))
@@ -321,20 +322,23 @@ def hyperplane_margin_bound(c1, c2, radius: float, x, y) -> tuple[float, float]:
     """Distance from the bisector of (x, y) to two balls, with its lower bound.
 
     ``x`` and ``y`` must lie within ``radius`` of the centers ``c1`` and
-    ``c2``. Returns (margin, bound) where margin is the exact distance from
-    the bisecting hyperplane of x and y to the union of the two balls and
-    bound is half the center distance minus three radii; the geometric
-    lemma says margin >= bound.
+    ``c2``, up to ``inequality_slack`` times the largest of the radius and
+    the norms of the center and the point, a rule that does not change
+    under power-of-two scaling. Returns (margin, bound) where margin is the
+    exact distance from the bisecting hyperplane of x and y to the union of
+    the two balls and bound is half the center distance minus three radii;
+    the geometric lemma says margin >= bound.
     """
     c1, c2, x, y = (finite_array(name, v, 1) for name, v in (("c1", c1), ("c2", c2), ("x", x), ("y", y)))
     if not c1.shape == c2.shape == x.shape == y.shape:
         raise InputError("c1, c2, x and y must have the same length")
     if not radius >= 0:
         raise InputError("radius must be nonnegative")
-    if np.linalg.norm(x - c1) > radius + TOL.inequality_slack:
-        raise InputError("x lies outside the first ball")
-    if np.linalg.norm(y - c2) > radius + TOL.inequality_slack:
-        raise InputError("y lies outside the second ball")
+    for point, center, outside in ((x, c1, "x lies outside the first ball"),
+                                   (y, c2, "y lies outside the second ball")):
+        scale = max(radius, float(np.linalg.norm(center)), float(np.linalg.norm(point)))
+        if np.linalg.norm(point - center) > radius + TOL.inequality_slack * scale:
+            raise InputError(outside)
     diff = y - x
     norm = float(np.linalg.norm(diff))
     if norm < TOL.coincident_points:

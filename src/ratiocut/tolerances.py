@@ -18,8 +18,9 @@ class Tolerances:
     #: at most this, and its measured error radius at most this times ||A||_inf
     eigen_residual: float = 1e-8
     #: slack for inequality checks: relative to the optimum in the oracle's
-    #: ``unique``, to the one-cluster cost in the k-means restart pick, and
-    #: absolute in the Lloyd cost and ball-membership checks
+    #: ``unique``, to the one-cluster cost in the k-means restart pick, to the
+    #: largest of radius, center and point norm in ball membership, and
+    #: absolute in the Lloyd cost check
     inequality_slack: float = 1e-9
     #: width, relative to the value, a certified gap bracket must close to
     gap_bracket: float = 1e-9

@@ -252,7 +252,8 @@ def test_subset_density_lower_bound_random(report):
         subset = rng.choice(n, size=size, replace=False)
         # cut(S, complement) >= lambda2 |S| |complement| / n
         bound = rc.lambda2(g) * size * (n - size) / n
-        if not rc.cut_weight(g, subset) >= bound - 1e-9:
+        cut = g.weights[np.ix_(subset, np.setdiff1d(np.arange(n), subset))].sum()
+        if not cut >= bound - 1e-9:
             violations += 1
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 10.0

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -148,7 +150,6 @@ INTEGER_DOORS = {
     "gen_example_blocks n": (lambda v: rc.gen_example_blocks(v, 0.5), 0),
     "gen_planted_blocks size": (lambda v: rc.gen_planted_blocks([3, v], 1.0, 0.1), 0),
     "recovery_diagnostics n": (lambda v: rc.recovery_diagnostics(0.1, v), 0),
-    "cut_weight index": (lambda v: rc.cut_weight(_G, [0, v]), 4),
 }
 
 
@@ -248,41 +249,6 @@ def test_laplacian_positive_semidefinite():
         assert eigs.min() >= -1e-9
 
 
-def test_cut_weight_examples():
-    k4 = complete_graph(4)
-    assert rc.cut_weight(k4, [0, 1]) == 4.0
-    assert rc.cut_weight(k4, []) == 0.0
-    assert rc.cut_weight(k4, [0, 1, 2, 3]) == 0.0
-    p3 = path_graph(3)
-    assert rc.cut_weight(p3, [1]) == 2.0
-
-
-def test_cut_weight_validates_subset():
-    g = complete_graph(3)
-    with pytest.raises(InputError):
-        rc.cut_weight(g, [0, 0])
-    with pytest.raises(InputError):
-        rc.cut_weight(g, [3])
-    with pytest.raises(InputError):
-        rc.cut_weight(g, [-1])
-    # a mask or a float is not a list of vertex indices
-    edge = complete_graph(2)
-    for bad in (np.array([False, True]), [True], [0, True], [0.9], np.array([1.0]), [np.float64(0)]):
-        with pytest.raises(InputError, match="integer vertex indices"):
-            rc.cut_weight(edge, bad)
-    with pytest.raises(InputError, match="integer vertex indices"):
-        rc.cut_weight(g, [1.7])
-    # an index too large for int64 is out of range, not an OverflowError
-    for bad in ([0, -2 ** 70], np.array([2 ** 64 - 1], dtype=np.uint64)):
-        with pytest.raises(InputError, match="out of range"):
-            rc.cut_weight(g, bad)
-    # integer indices of any integer type, and the empty subset, stay valid
-    assert rc.cut_weight(edge, np.array([1], dtype=np.int8)) == 1.0
-    assert rc.cut_weight(edge, [np.int64(0)]) == 1.0
-    assert rc.cut_weight(edge, []) == 0.0
-    assert rc.cut_weight(edge, np.array([], dtype=int)) == 0.0
-
-
 def ratio_cut_by_trace(g: rc.WeightedGraph, p: rc.Partition) -> float:
     """Independent route: RatioCut = Tr(U^T L U) with indicator columns."""
     u = np.zeros((g.n, p.k))
@@ -305,8 +271,8 @@ def test_ratio_cut_matches_trace_formula():
 
 def test_partition_of_the_wrong_size_is_an_input_error_everywhere():
     g = rc.WeightedGraph(np.ones((7, 7)))
-    entry_points = [rc.ratio_cut, eigen.block_lambda2s, graphs.cross_weights, rc.boundary_degrees,
-                    rc.certificate, rc.theoretical_bound]
+    entry_points = [rc.ratio_cut, eigen.block_lambda2s, rc.boundary_degrees, rc.certificate,
+                    rc.theoretical_bound]
     # shorter, with blocks the theorem accepts; longer; and too small for the theorem
     for labels in ([0, 0, 0, 1, 1, 1], [0] * 4 + [1] * 4, [0, 1]):
         p = rc.Partition(labels, 2)
@@ -454,8 +420,8 @@ def test_gen_planted_blocks():
     d = rc.boundary_degrees(g, p)
     assert d.max() == 0.25
     # cross edges connect consecutive blocks only
-    assert rc.cut_weight(g, p.block(0)) == 0.25
-    assert rc.cut_weight(g, p.block(1)) == 0.5
+    for j, cut in enumerate([0.25, 0.5, 0.25]):
+        assert g.weights[np.ix_(p.labels == j, p.labels != j)].sum() == cut
     lam = rc.certificate(g, p).lambda2s
     assert np.allclose(lam, sizes, atol=1e-9)
 
@@ -484,9 +450,8 @@ def test_gen_example_blocks_validation():
         rc.gen_example_blocks(2, -1.0)
 
 
-# numpy refuses these matrices outright (more bytes than an address space
-# holds), so the tests allocate nothing; a count whose matrix fits in virtual
-# memory would be built, and must not be tried here
+# these matrices exceed any physical memory (and numpy's address space), so
+# they are refused before anything is allocated
 @pytest.mark.parametrize("make, n", [
     (lambda: rc.gen_planted_blocks([2 ** 40], 1.0, 0.1), 2 ** 40),
     (lambda: rc.gen_planted_blocks([2 ** 62, 2 ** 62], 1.0, 0.1), 2 ** 63),
@@ -495,3 +460,15 @@ def test_gen_example_blocks_validation():
 def test_generators_refuse_a_weight_matrix_numpy_cannot_make(make, n):
     with pytest.raises(InputError, match=f"^vertex count {n} is too large for an n-by-n weight matrix$"):
         make()
+
+
+def test_weight_matrix_and_its_copy_must_fit_in_physical_memory(monkeypatch):
+    # 16 pages of 16 bytes hold the matrix and its copy for n = 4 (2 * 128
+    # bytes), not for n = 5
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 16}.get)
+    assert graphs.zero_weights(4).shape == (4, 4)
+    for make in (lambda: graphs.zero_weights(5), lambda: rc.gen_planted_blocks([2, 3], 1.0, 0.1)):
+        with pytest.raises(InputError, match="^vertex count 5 is too large for an n-by-n weight matrix$"):
+            make()
+    monkeypatch.delattr(os, "sysconf")  # where it is missing, the check is skipped
+    assert graphs.zero_weights(5).shape == (5, 5)

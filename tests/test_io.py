@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -57,15 +58,23 @@ def test_read_edge_list_header_errors(tmp_path):
         rc.read_edge_list(write(tmp_path, "3 -1\n"))
 
 
-def test_read_edge_list_rejects_unallocatable_vertex_count(tmp_path):
-    # n * n * 8 bytes overflows the address space, so numpy refuses the
-    # weight matrix before allocating anything
+def test_read_edge_list_rejects_unallocatable_vertex_count(tmp_path, monkeypatch):
+    # the weight matrix and its copy would exceed physical memory, so it is
+    # refused before anything is allocated
     with pytest.raises(FileFormatError, match=r":1:1: vertex count 10000000000 is too large"):
         rc.read_edge_list(write(tmp_path, "10000000000 0\n"))
     path = write(tmp_path, f"{2 ** 40} 0\n")
     with pytest.raises(FileFormatError) as exc:
         rc.read_edge_list(path)
     assert str(exc.value) == f"{path}:1:1: vertex count {2 ** 40} is too large for an n-by-n weight matrix"
+    # a header-only file is refused by the same rule at a small physical
+    # memory: 16 pages of 16 bytes hold two 4-by-4 matrices, not two 5-by-5
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 16}.get)
+    assert rc.read_edge_list(write(tmp_path, "4 0\n")).n == 4
+    path = write(tmp_path, "5 0\n")
+    with pytest.raises(FileFormatError) as exc:
+        rc.read_edge_list(path)
+    assert str(exc.value) == f"{path}:1:1: vertex count 5 is too large for an n-by-n weight matrix"
 
 
 def test_read_edge_list_edge_errors(tmp_path):

@@ -277,6 +277,29 @@ def test_restarts_in_groups_match_the_per_restart_loop(monkeypatch):
             assert _assert_matches_reference(bad, 3, seed=0)[0] == "SolverError"
 
 
+def test_each_group_draws_its_starts_when_it_runs(monkeypatch):
+    # one restart per group, and the first group's Lloyd pass fails: that
+    # group is restart 0, seeded farthest-first, so no generator is made
+    from ratiocut import rounding
+
+    points = np.arange(8.0)[:, None]
+    seeds = []
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or make(seed))
+    monkeypatch.setattr(rounding, "LLOYD_BATCH_CELLS", 1)
+    rc.kmeans_round(points, 2, seed=3, restarts=4)
+    assert seeds == [[3, 1], [3, 2], [3, 3]]  # restarts 1 to 3 make one generator each
+
+    def fail(*_):
+        raise SolverError("first Lloyd pass")
+
+    seeds.clear()
+    monkeypatch.setattr(rounding, "_lloyd", fail)
+    with pytest.raises(SolverError, match="first Lloyd pass"):
+        rc.kmeans_round(points, 2, restarts=1000)
+    assert seeds == []
+
+
 def test_batched_lloyd_matches_reference_at_the_iteration_cap():
     # three distinct values and five clusters: empty clusters are re-seeded
     # on every pass and the assignment never settles
@@ -569,6 +592,44 @@ def test_margin_random_property():
 def _unit(rng, d):
     v = rng.normal(size=d)
     return v / np.linalg.norm(v)
+
+
+def test_ball_membership_is_relative_to_the_data():
+    # x lies 500 radii outside its ball; an absolute slack of 1e-9 took it,
+    # and the margin returned (4.99749e-7) fell below the bound (4.99997e-7)
+    with pytest.raises(InputError, match="x lies outside the first ball"):
+        rc.hyperplane_margin_bound([0.0, 0.0], [1e-6, 0.0], 1e-12, [5e-10, 0.0], [1e-6, 0.0])
+
+
+def _margin_outcome(*args):
+    try:
+        return rc.hyperplane_margin_bound(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+def test_ball_membership_does_not_change_under_power_of_two_scaling():
+    # points on, just inside and just outside each sphere, with radius 0 too;
+    # the outcome (the refusal, or the returned pair scaled by 2**e) is the
+    # same at every scale. x and y stay far apart, since the coincidence
+    # check is still absolute (ROADMAP item 17)
+    rng = np.random.default_rng(17)
+    cases = []
+    for _ in range(30):
+        d = int(rng.integers(1, 4))
+        c1 = rng.normal(size=d) * 2.0 ** 40
+        c2 = c1 + rng.normal(size=d) * 2.0 ** 41
+        radius = float(rng.choice([0.0, rng.uniform(0, 2.0 ** 38)]))
+        x, y = (c + (radius + rng.choice([-1e-6, 0.0, 3e-10, 3e-9]) * np.linalg.norm(c)) * _unit(rng, d)
+                for c in (c1, c2))
+        cases.append((c1, c2, radius, x, y))
+    outcomes = [_margin_outcome(*case) for case in cases]
+    assert {type(o) for o in outcomes} == {tuple, str}
+    for e in range(-60, 61):
+        s = 2.0 ** e
+        for (c1, c2, radius, x, y), want in zip(cases, outcomes):
+            got = _margin_outcome(s * c1, s * c2, s * radius, s * x, s * y)
+            assert got == (want if isinstance(want, str) else (s * want[0], s * want[1])), (e, c1, c2, radius)
 
 
 def test_margin_validation():

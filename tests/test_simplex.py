@@ -24,6 +24,12 @@ def test_tiny_lp_by_hand():
         assert lowers == pytest.approx(np.full(m, float(m)), abs=1e-9)
 
 
+def test_singular_inverse_is_a_solver_error():
+    # L + 11^T / n is the zero matrix here, so numpy's inverse fails
+    with pytest.raises(rc.SolverError, match="^Laplacian inverse failed: Singular matrix$"):
+        simplex.gap_certificate(-np.ones((2, 2)) / 2)
+
+
 def test_degenerate_lp_is_deterministic():
     # every vector perp 1 is optimal on K5; the certificate must not depend
     # on anything but the input
